@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 repo check: byte-compile the package and run the fast test profile.
 #
-# Usage: scripts/check.sh [--serve|--telemetry|--alerts|--trace|--cluster|--chaos|--soak|--soak-long]
-#                         [extra args...]
+# Usage: scripts/check.sh [--serve|--telemetry|--alerts|--trace|--cluster|--chaos|--soak|--soak-long
+#                          |--perf-smoke] [extra args...]
 # Examples:
 #   scripts/check.sh                 # compileall + fast tier-1 tests
 #   scripts/check.sh --serve         # compileall + the opt-in serve lane
@@ -30,6 +30,10 @@
 #   scripts/check.sh --soak-long     # soak with the trend profile: RSS and
 #                                    # spool growth sampled and asserted
 #                                    # bounded, network+disk faults on
+#   scripts/check.sh --perf-smoke    # compileall + a 2 s smoke run of the
+#                                    # eval-4t benchmark on the real engine;
+#                                    # fails unless its chunked-reference
+#                                    # oracle check reports "correct": true
 #   scripts/check.sh -m slow         # compileall + the slow lane
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -82,6 +86,17 @@ elif [[ "${1:-}" == "--soak" ]]; then
 elif [[ "${1:-}" == "--soak-long" ]]; then
     shift
     python -m repro.chaos.soak --long "$@"
+elif [[ "${1:-}" == "--perf-smoke" ]]; then
+    shift
+    # The benchmark's last stdout line is its JSON result; "correct" covers
+    # the bit-exact comparison against NBSMTEngine(force_reference=True).
+    result="$(python3 perfbench/run.py --workload eval-4t --seed 1 --smoke \
+        --seconds 2 --trace 0 "$@" | tail -n 1)"
+    echo "$result"
+    if [[ "$result" != *'"correct": true'* ]]; then
+        echo "perf-smoke: eval-4t result is not correct" >&2
+        exit 1
+    fi
 else
     python -m pytest -x -q "$@"
 fi

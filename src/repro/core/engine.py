@@ -22,6 +22,9 @@ from repro.core.policies import PackingPolicy, get_policy
 from repro.core.smt import NBSMTMatmul, SMTStatistics
 from repro.quant.engine import LayerContext, exact_int_matmul
 
+#: Capacity of :attr:`NBSMTEngine.layer_times` between two ``reset_stats``.
+_MAX_LAYER_TIMES = 4096
+
 
 class NBSMTEngine:
     """Executes quantized matmuls under NB-SMT and records per-layer stats.
@@ -67,15 +70,19 @@ class NBSMTEngine:
         self.fast4t_impl = fast4t_impl
         self.prune_blocks = prune_blocks
         self.layer_stats: dict[str, SMTStatistics] = {}
-        #: Per-layer wall timing of the current forward pass: a list of
+        #: Per-layer timing of the current forward pass: a list of
         #: ``(layer_name, start_wall_s, duration_s)`` in execution order,
-        #: the raw material of a trace's engine-compute child spans.
+        #: the raw material of a trace's engine-compute child spans.  The
+        #: start is a wall-clock anchor; the duration is monotonic.
         self.layer_times: list[tuple[str, float, float]] = []
+        #: Entries not appended to ``layer_times`` because it was full.
+        self.layer_times_dropped = 0
         self._executors: dict[tuple[str, int], NBSMTMatmul] = {}
 
     def reset_stats(self) -> None:
         self.layer_stats = {}
         self.layer_times = []
+        self.layer_times_dropped = 0
 
     def stats_for(self, layer_name: str) -> SMTStatistics:
         return self.layer_stats.setdefault(layer_name, SMTStatistics())
@@ -100,9 +107,13 @@ class NBSMTEngine:
         self, x_q: np.ndarray, w_q: np.ndarray, ctx: LayerContext
     ) -> np.ndarray:
         started = time.time()
+        clock = time.perf_counter()
         out = self._matmul(x_q, w_q, ctx)
-        if len(self.layer_times) < 4096:  # bounded if stats never reset
-            self.layer_times.append((ctx.name, started, time.time() - started))
+        duration = time.perf_counter() - clock
+        if len(self.layer_times) < _MAX_LAYER_TIMES:  # bounded if never reset
+            self.layer_times.append((ctx.name, started, duration))
+        else:
+            self.layer_times_dropped += 1
         return out
 
     def _matmul(

@@ -250,6 +250,13 @@ def _exact_matmul(x_q: np.ndarray, w_q: np.ndarray) -> np.ndarray:
     return np.rint(x_q.astype(np.float64) @ w_q.astype(np.float64)).astype(np.int64)
 
 
+#: Byte budget of the reused row tile in which :class:`_ErrorAccumulator`
+#: assembles each GEMM's left operand: about 1 MB keeps the tile cache
+#: resident while each tile still spans enough rows (about a hundred for
+#: the widest operands) to amortize the per-tile Python and BLAS overhead.
+_TILE_BYTES = 1 << 20
+
+
 class _ErrorAccumulator:
     """Collects separable error terms and evaluates them with few GEMMs.
 
@@ -257,9 +264,23 @@ class _ErrorAccumulator:
     integer-valued matrices of shapes ``(M, Kt)`` and ``(Kt, N)``.  Terms are
     only described by :meth:`add`; :meth:`total` partitions them into groups
     whose cumulative exactness bound fits a float32 GEMM (float64 for
-    oversized single terms), writes the gated factors directly into
-    preallocated stacked operands (no per-term temporaries or concatenation)
-    and issues one BLAS call per group.
+    oversized single terms) and evaluates each group as one product of a
+    wide left operand and a narrow stacked right operand:
+
+    * terms of a group that share their gated left factor (the same gate
+      and value arrays and the same ``columns``) become one left block;
+      their right factors are pre-summed into a single ``(Kt, N)`` block;
+    * every ``scale`` is folded into the right factor, so no left block is
+      ever rescaled;
+    * the left operand is never materialized: it is assembled in row tiles
+      of about ``_TILE_BYTES`` in one reused buffer, each tile followed by
+      one BLAS call into its rows of the output.
+
+    All of this is bit-exact.  A merged right block ``sum_i c_i * (g_i * v_i)``
+    holds small integers, and its product-sum magnitude is at most the sum
+    of the merged terms' bounds, so every partial sum of a group's product
+    is still an integer below the float mantissa limit: the result is exact
+    in any accumulation order and for any row split.
 
     ``columns`` optionally restricts a term to a subset of its K positions:
     a K column whose gated left column or gated right row is entirely zero
@@ -289,31 +310,51 @@ class _ErrorAccumulator:
         )
 
     @staticmethod
-    def _term_width(term: tuple) -> int:
-        columns = term[6]
-        return term[1].shape[-1] if columns is None else len(columns)
+    def _merged_blocks(group: list[tuple], dtype) -> list[list]:
+        """``[gate_l, val_l, cols, right]`` per distinct gated left factor.
+
+        ``cols`` indexes the term's K positions (all of them when it has no
+        ``columns``); ``right`` is the scaled sum of the right factors of
+        every term that shares the left factor, already in the GEMM dtype.
+        """
+        blocks: dict[tuple[int, int, int], list] = {}
+        for gate_l, val_l, gate_r, val_r, _, scale, columns in group:
+            cols = slice(None) if columns is None else columns
+            if isinstance(gate_r, np.ndarray):
+                gate_r = gate_r[cols]
+            right = np.multiply(gate_r, val_r[cols], dtype=dtype,
+                                casting="unsafe")
+            if scale != 1.0:
+                right *= dtype(scale)
+            key = (id(gate_l), id(val_l), id(columns))
+            if key in blocks:
+                blocks[key][3] += right
+            else:
+                blocks[key] = [gate_l, val_l, cols, right]
+        return list(blocks.values())
 
     def _evaluate_group(self, group: list[tuple], dtype) -> np.ndarray:
-        width = sum(self._term_width(term) for term in group)
-        lefts = np.empty((self.m, width), dtype=dtype)
-        rights = np.empty((width, self.n), dtype=dtype)
-        pos = 0
-        for gate_l, val_l, gate_r, val_r, _, scale, columns in group:
-            if columns is not None:
-                val_l = val_l[:, columns]
-                val_r = val_r[columns, :]
+        blocks = self._merged_blocks(group, dtype)
+        rights = np.concatenate([block[3] for block in blocks], axis=0)
+        width = rights.shape[0]
+        row_bytes = max(1, width * np.dtype(dtype).itemsize)
+        rows = max(1, min(self.m, _TILE_BYTES // row_bytes))  # M may be 0
+        buffer = np.empty((rows, width), dtype=dtype)
+        out = np.empty((self.m, self.n), dtype=dtype)
+        for r0 in range(0, self.m, rows):
+            r1 = min(r0 + rows, self.m)
+            tile = buffer[: r1 - r0]
+            pos = 0
+            for gate_l, val_l, cols, _ in blocks:
                 if isinstance(gate_l, np.ndarray):
-                    gate_l = gate_l[:, columns]
-                if isinstance(gate_r, np.ndarray):
-                    gate_r = gate_r[columns, :]
-            stop = pos + val_l.shape[-1]
-            left_view = lefts[:, pos:stop]
-            np.multiply(gate_l, val_l, out=left_view, casting="unsafe")
-            if scale != 1.0:
-                left_view *= dtype(scale)
-            np.multiply(gate_r, val_r, out=rights[pos:stop, :], casting="unsafe")
-            pos = stop
-        return lefts @ rights
+                    gate_l = gate_l[r0:r1, cols]
+                val_l = val_l[r0:r1, cols]
+                stop = pos + val_l.shape[1]
+                np.multiply(gate_l, val_l, out=tile[:, pos:stop],
+                            casting="unsafe")
+                pos = stop
+            np.matmul(tile, rights, out=out[r0:r1])
+        return out
 
     def total(self) -> np.ndarray:
         """Evaluate all recorded terms; returns the integer error matrix."""
@@ -522,11 +563,14 @@ def _count_active(x_q: np.ndarray, w_q: np.ndarray) -> int:
     return int(x_nonzero.sum(axis=0) @ w_nonzero.sum(axis=1))
 
 
+def _max_abs(a: np.ndarray) -> int:
+    """Largest magnitude in ``a`` as a Python int (no widened copy)."""
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
 def _operand_maxima(x_t: np.ndarray, w_t: np.ndarray) -> tuple[int, int]:
     """Maximum operand magnitudes, used to tighten GEMM exactness bounds."""
-    amax = int(np.abs(_as_int64(x_t)).max(initial=0))
-    wmax = int(np.abs(_as_int64(w_t)).max(initial=0))
-    return amax, wmax
+    return _max_abs(x_t), _max_abs(w_t)
 
 
 def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
@@ -795,9 +839,10 @@ def _fast_4t(
     per-position demand count.  Because the demand indicator of each thread
     factors into an activation-side and a weight-side binary mask, the gated
     error sums expand (by inclusion-exclusion over thread subsets) into
-    separable blocks; the blocks are merged where they share a weight-side
-    factor and stacked along the inner dimension into a handful of BLAS
-    GEMMs whose float dtype is chosen by exactness bounds.  Statistics are
+    separable blocks; the pair and many terms merge where they share a
+    factor pair, and :class:`_ErrorAccumulator` evaluates the blocks with a
+    few row-tiled BLAS GEMMs whose float dtype is chosen by exactness
+    bounds, merging blocks that share a gated left factor.  Statistics are
     reconstructed exactly from per-K-column histograms of the 4-bit thread
     activity patterns (see :func:`_reduced_tables`).
 

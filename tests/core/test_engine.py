@@ -1,8 +1,11 @@
 """NBSMTEngine adapter: per-layer statistics and thread handling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import NBSMTEngine
 from repro.quant.engine import ExactEngine, LayerContext
 from repro.utils.rng import new_rng
@@ -71,3 +74,29 @@ def test_exact_engine_reference(pair):
     engine = ExactEngine()
     ctx = LayerContext(name="ref")
     assert np.array_equal(engine.matmul(x, w, ctx), x @ w)
+
+
+def test_layer_duration_ignores_wall_clock_steps(pair, monkeypatch):
+    x, w = pair
+    engine = NBSMTEngine("S+A")
+    # Every wall-clock reading steps 100 s back.
+    wall = itertools.count(1_000_000.0, -100.0)
+    monkeypatch.setattr(engine_module.time, "time", lambda: next(wall))
+    engine.matmul(x, w, LayerContext(name="layer0", threads=2))
+    ((name, start, duration),) = engine.layer_times
+    assert name == "layer0"
+    assert start == 1_000_000.0
+    assert 0.0 <= duration < 60.0
+
+
+def test_layer_times_overflow_is_counted(pair):
+    x, w = pair
+    engine = NBSMTEngine("S+A")
+    ctx = LayerContext(name="layer0", threads=2)
+    capacity = engine_module._MAX_LAYER_TIMES
+    engine.layer_times = [("earlier", 0.0, 0.0)] * capacity
+    engine.matmul(x, w, ctx)
+    assert len(engine.layer_times) == capacity
+    assert engine.layer_times_dropped == 1
+    engine.reset_stats()
+    assert engine.layer_times_dropped == 0

@@ -1,9 +1,13 @@
 """Functional NB-SMT executor: fast paths vs reference, invariants, stats."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import smt
 from repro.core.policies import POLICY_NAMES, get_policy
 from repro.core.smt import NBSMTMatmul, SMTStatistics, split_into_threads
 from tests.conftest import make_quantized_pair
@@ -277,3 +281,98 @@ def test_statistics_payload_roundtrip(rng):
     payload = json.loads(json.dumps(executor.stats.to_payload()))
     rebuilt = SMTStatistics.from_payload(payload)
     assert rebuilt.as_dict() == executor.stats.as_dict()
+
+
+# -- row-tiled error GEMM -------------------------------------------------------------
+
+_INT_STATS = [f.name for f in dataclasses.fields(SMTStatistics) if f.type == "int"]
+
+
+def _tiled_case(kind):
+    rng = new_rng(21)
+    if kind == "ragged":
+        return make_quantized_pair(rng, m=37, k=8, n=5)
+    if kind == "below-one-tile":
+        return make_quantized_pair(rng, m=3, k=8, n=5)
+    if kind == "float64-group":
+        # Kt in the thousands pushes single error terms past the float32
+        # exactness bound, so they form float64 groups.
+        x, w = make_quantized_pair(rng, m=5, k=20_000, n=2, act_sparsity=0.2)
+        x[0, :4] = 255
+        w[:4, 0] = -127
+        return x, w
+    # "sparse": every other K column is empty, so the 4-thread block pruner
+    # narrows blocks to their active columns; 4-bit weight rows have zero
+    # reduction deltas, so blocks sharing a left factor get different ones.
+    x, w = make_quantized_pair(rng, m=37, k=16, n=5, act_sparsity=0.3)
+    x[:, ::2] = 0
+    w[1::4] = np.clip(w[1::4], -7, 7)
+    return x, w
+
+
+@pytest.mark.parametrize("kind",
+                         ["ragged", "below-one-tile", "float64-group", "sparse"])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@pytest.mark.parametrize("threads", [2, 4])
+def test_row_tiled_error_gemm_matches_reference(monkeypatch, threads, policy,
+                                                kind):
+    # A 768-byte tile holds 2 rows of the widest 4-thread operand at K=8 and
+    # about 24 of the 2-thread one: M=37 splits into ragged tiles, M=3 can
+    # fit in one.
+    monkeypatch.setattr(smt, "_TILE_BYTES", 768)
+    dtypes, columns = [], []
+    evaluate = smt._ErrorAccumulator._evaluate_group
+    add = smt._ErrorAccumulator.add
+
+    def spy_evaluate(self, group, dtype):
+        dtypes.append(dtype)
+        return evaluate(self, group, dtype)
+
+    def spy_add(self, *args, **kwargs):
+        columns.append(kwargs.get("columns"))
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(smt._ErrorAccumulator, "_evaluate_group", spy_evaluate)
+    monkeypatch.setattr(smt._ErrorAccumulator, "add", spy_add)
+    x, w = _tiled_case(kind)
+    fast = NBSMTMatmul(threads, policy)
+    reference = NBSMTMatmul(threads, policy, force_reference=True)
+    assert np.array_equal(fast.matmul(x, w), reference.matmul(x, w))
+    for name in _INT_STATS:
+        assert getattr(fast.stats, name) == getattr(reference.stats, name), name
+    if kind == "float64-group":
+        assert np.float64 in dtypes
+    if kind == "sparse" and threads == 4:
+        assert any(c is not None for c in columns)
+
+
+@pytest.mark.parametrize("shape", [(0, 8, 3), (4, 0, 3), (4, 8, 0)])
+@pytest.mark.parametrize("threads", [2, 4])
+def test_empty_dimensions_match_reference(threads, shape):
+    m, k, n = shape
+    x = np.zeros((m, k), dtype=np.int64)
+    w = np.zeros((k, n), dtype=np.int64)
+    fast = NBSMTMatmul(threads, "S+A").matmul(x, w)
+    reference = NBSMTMatmul(threads, "S+A", force_reference=True).matmul(x, w)
+    assert fast.shape == (m, n)
+    assert np.array_equal(fast, reference)
+
+
+def test_error_gemm_never_materializes_the_wide_operand(monkeypatch):
+    # The stacked left operand of this 4-thread case would be
+    # 4096 x (60 * 36) float32 = 35 MB.
+    x, w = make_quantized_pair(new_rng(5), m=4096, k=144, n=16)
+    peaks = []
+    total = smt._ErrorAccumulator.total
+
+    def traced_total(self):
+        tracemalloc.start()
+        try:
+            return total(self)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(smt._ErrorAccumulator, "total", traced_total)
+    NBSMTMatmul(4, "S+A").matmul(x, w)
+    assert peaks and max(peaks) < 8 * 2**20
