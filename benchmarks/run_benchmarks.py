@@ -4,17 +4,13 @@
 Measures, on this machine:
 
 * the 4-thread (and 2-thread) NB-SMT matmul microbenchmarks -- the seed's
-  general-thread-count fallback (the chunked reference executor), the seed's
-  factorized implementation (``fast4t_impl="legacy"``) and the optimized
-  stacked-GEMM path, with and without sparsity-adaptive block pruning
-  (including a narrow-valued operand regime where most reduction deltas
-  vanish and pruning shines);
+  general-thread-count fallback (the chunked reference executor) versus the
+  factorized stacked-GEMM path;
 * the explicit SySMT array simulators -- per-PE objects versus the
   vectorized lane-level execution;
 * an end-to-end 4-thread model evaluation -- the serial seed configuration
-  (reference fallback; also the seed's factorized variant with per-call
-  executor construction and no weight-quantization caching) versus the
-  optimized pipeline, serial and with a 4-worker sharded process pool;
+  (reference fallback) versus the optimized pipeline, serial and with a
+  4-worker sharded process pool;
 * a suite-level arm: an overlap-heavy slice of the paper-reproduction
   experiment suite executed the pre-sweep way (each experiment a serial
   loop, no artifact sharing) versus orchestrated through the sweep
@@ -61,20 +57,21 @@ Measures, on this machine:
   0.0/0.1/1.0, isolating what tracing costs on top of telemetry
   (< 2% target at the default 0.1 rate).
 
-Results are written as JSON (default ``BENCH_pr10.json`` at the repo root)
-so the performance trajectory of the project is recorded per PR; when the
-previous PR's ``BENCH_pr9.json`` is present its headline timings are
-embedded for comparison.
+Results are written as JSON to ``--out`` (required, so a run never
+overwrites a recorded ``BENCH_pr*.json`` by accident); the headline timings
+of the highest-numbered ``BENCH_pr*.json`` at the repo root are embedded for
+comparison.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py [--out BENCH_pr10.json]
-        [--scale fast|full]
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --out OUT.json
+        [--scale fast|full] [--only ARM]
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -131,13 +128,6 @@ def bench_matmul(scale: str) -> dict:
             ),
             "optimized_factorized": NBSMTMatmul(threads, "S+A", collect_stats=True),
         }
-        if threads == 4:
-            arms["seed_factorized_legacy"] = NBSMTMatmul(
-                threads, "S+A", collect_stats=True, fast4t_impl="legacy"
-            )
-            arms["optimized_nopruning"] = NBSMTMatmul(
-                threads, "S+A", collect_stats=True, prune_blocks=False
-            )
         timings = {}
         for name, executor in arms.items():
             executor.matmul(x, w)  # warm-up (LUTs, BLAS)
@@ -158,38 +148,7 @@ def bench_matmul(scale: str) -> dict:
             timings["seed_reference_fallback"]["seconds"]
             / timings["optimized_factorized"]["seconds"]
         )
-        if "seed_factorized_legacy" in timings:
-            entry["speedup_vs_seed_factorized"] = (
-                timings["seed_factorized_legacy"]["seconds"]
-                / timings["optimized_factorized"]["seconds"]
-            )
-        if "optimized_nopruning" in timings:
-            entry["speedup_block_pruning"] = (
-                timings["optimized_nopruning"]["seconds"]
-                / timings["optimized_factorized"]["seconds"]
-            )
         results[f"matmul_{threads}t"] = entry
-
-    # Narrow-valued operands (most activations fit 4 bits): the regime the
-    # sparsity-adaptive block pruning targets -- most reduction-delta blocks
-    # are empty or nearly empty and are skipped before stacking.
-    x_narrow = x % 16
-    timings = {}
-    for name, prune in (("pruned", True), ("unpruned", False)):
-        executor = NBSMTMatmul(4, "S+A", collect_stats=True, prune_blocks=prune)
-        executor.matmul(x_narrow, w)
-        seconds = _best_of(lambda e=executor: e.matmul(x_narrow, w), repeats)
-        timings[name] = {"seconds": seconds, "ops_per_sec": macs / seconds}
-    results["matmul_4t_narrow_acts"] = {
-        "shape": [m, k, n],
-        "threads": 4,
-        "policy": "S+A",
-        "note": "activations clipped to 4-bit range; block pruning regime",
-        "timings": timings,
-        "speedup_block_pruning": (
-            timings["unpruned"]["seconds"] / timings["pruned"]["seconds"]
-        ),
-    }
     return results
 
 
@@ -268,42 +227,13 @@ def bench_end_to_end(scale: str) -> dict:
             engine=NBSMTEngine("S+A", collect_stats=True, force_reference=True),
         )
 
-    def seed_factorized_run():
-        harness.qmodel.config.cache_weight_quant = False
-        try:
-            harness.evaluate_nbsmt(
-                threads=4,
-                engine=NBSMTEngine(
-                    "S+A",
-                    collect_stats=True,
-                    reuse_executors=False,
-                    fast4t_impl="legacy",
-                ),
-            )
-        finally:
-            harness.qmodel.config.cache_weight_quant = True
-
     repeats = 3
     timings = {
         "seed_serial_reference": {
             "seconds": _best_of(seed_reference_run, 1)
         },
-        "seed_serial_factorized": {
-            "seconds": _best_of(seed_factorized_run, repeats)
-        },
         "optimized_serial": {
             "seconds": _best_of(lambda: harness.evaluate_nbsmt(threads=4), repeats)
-        },
-        "optimized_serial_nopruning": {
-            "seconds": _best_of(
-                lambda: harness.evaluate_nbsmt(
-                    threads=4,
-                    engine=NBSMTEngine(
-                        "S+A", collect_stats=True, prune_blocks=False
-                    ),
-                ),
-                repeats,
-            )
         },
         "optimized_parallel_4workers": {
             "seconds": _best_of(
@@ -325,10 +255,6 @@ def bench_end_to_end(scale: str) -> dict:
             ),
             "speedup_serial_vs_seed_serial": (
                 timings["seed_serial_reference"]["seconds"]
-                / timings["optimized_serial"]["seconds"]
-            ),
-            "speedup_serial_vs_seed_factorized": (
-                timings["seed_serial_factorized"]["seconds"]
                 / timings["optimized_serial"]["seconds"]
             ),
         }
@@ -2228,6 +2154,23 @@ def bench_cluster(scale: str) -> dict:
     }
 
 
+def _latest_bench(exclude: str) -> tuple[str, str] | None:
+    """``(path, tag)`` of the highest-numbered ``BENCH_pr<N>.json``.
+
+    Looks at the repo root and skips ``exclude`` (this run's output).
+    """
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+    found = []
+    for path in glob.glob(os.path.join(root, "BENCH_pr*.json")):
+        number = os.path.basename(path)[len("BENCH_pr"):-len(".json")]
+        if number.isdigit() and path != exclude:
+            found.append((int(number), path))
+    if not found:
+        return None
+    number, path = max(found)
+    return path, f"pr{number}"
+
+
 def _compare_to_previous(results: dict, previous_path: str, tag: str) -> dict | None:
     """Headline timing ratios against the previous PR's benchmark file."""
     try:
@@ -2259,7 +2202,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out",
-        default=os.path.join(os.path.dirname(__file__), "..", "BENCH_pr10.json"),
+        required=True,
+        help="path of the JSON result file",
     )
     parser.add_argument("--scale", choices=("fast", "full"), default="fast")
     parser.add_argument(
@@ -2301,10 +2245,9 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "numpy": np.__version__,
             "note": (
-                "seed_* arms re-run the seed implementations retained in the "
-                "codebase (chunked reference fallback; legacy factorized "
-                "4-thread path; per-call executor construction without "
-                "weight-quantization caching)."
+                "seed_* arms re-run the seed implementations kept in the "
+                "codebase as oracles (chunked reference executor; per-PE "
+                "array simulator)."
             ),
         },
         "benchmarks": {},
@@ -2355,12 +2298,18 @@ def main(argv=None) -> int:
         print("running experiment-suite benchmarks...", flush=True)
         results["benchmarks"].update(bench_suite(args.scale, args.workers))
 
-    pr9_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_pr9.json")
-    comparison = _compare_to_previous(results["benchmarks"], pr9_path, "pr9")
-    if comparison:
-        results["comparison_to_pr9"] = comparison
+    out_path = os.path.abspath(args.out)
+    latest = _latest_bench(exclude=out_path)
+    if latest is not None:
+        previous_path, tag = latest
+        comparison = _compare_to_previous(
+            results["benchmarks"], previous_path, tag
+        )
+        if comparison:
+            results[f"comparison_to_{tag}"] = comparison
     # The tracing arm's tracer-off baseline must hold parity with PR 9's
     # alert-arm baseline (identical telemetry-on stack recipe and drive).
+    pr9_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_pr9.json")
     try:
         tracing_arm = results["benchmarks"].get("tracing_overhead")
         if tracing_arm is not None:
@@ -2376,7 +2325,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError):
         pass
 
-    out_path = os.path.abspath(args.out)
     with open(out_path, "w") as handle:
         json.dump(results, handle, indent=2)
         handle.write("\n")

@@ -41,15 +41,6 @@ class NBSMTEngine:
     force_reference:
         Use the chunked reference executor even for the fast-path thread
         counts.
-    reuse_executors:
-        Keep one executor per (layer, threads) and reuse it across calls
-        (the default).  ``False`` restores the seed behavior of constructing
-        a fresh :class:`NBSMTMatmul` per call, kept for A/B benchmarking.
-    fast4t_impl:
-        Forwarded to :class:`NBSMTMatmul` (``"stacked"`` or ``"legacy"``).
-    prune_blocks:
-        Forwarded to :class:`NBSMTMatmul` (sparsity-adaptive block pruning
-        in the stacked 4-thread path; bit-exact, on by default).
     """
 
     def __init__(
@@ -58,17 +49,11 @@ class NBSMTEngine:
         default_threads: int = 2,
         collect_stats: bool = True,
         force_reference: bool = False,
-        reuse_executors: bool = True,
-        fast4t_impl: str = "stacked",
-        prune_blocks: bool = True,
     ):
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.default_threads = default_threads
         self.collect_stats = collect_stats
         self.force_reference = force_reference
-        self.reuse_executors = reuse_executors
-        self.fast4t_impl = fast4t_impl
-        self.prune_blocks = prune_blocks
         self.layer_stats: dict[str, SMTStatistics] = {}
         #: Per-layer timing of the current forward pass: a list of
         #: ``(layer_name, start_wall_s, duration_s)`` in execution order,
@@ -96,11 +81,8 @@ class NBSMTEngine:
                 self.policy,
                 collect_stats=self.collect_stats,
                 force_reference=self.force_reference,
-                fast4t_impl=self.fast4t_impl,
-                prune_blocks=self.prune_blocks,
             )
-            if self.reuse_executors:
-                self._executors[key] = executor
+            self._executors[key] = executor
         return executor
 
     def matmul(

@@ -8,7 +8,7 @@ including the noise introduced when thread collisions force reduced-precision
 products, together with per-layer statistics (collision breakdown,
 utilization, MSE versus the error-free result).
 
-Three implementations are provided and cross-checked by the test suite:
+Two implementations are provided and cross-checked by the test suite:
 
 * a chunked **reference** path that materializes the per-position activity
   tensors and handles any thread count;
@@ -17,9 +17,7 @@ Three implementations are provided and cross-checked by the test suite:
   collision indicator of each thread factors into an activation-side and a
   weight-side rank-1 term, so the demand-gated error terms expand by
   inclusion-exclusion into separable blocks that are stacked along the inner
-  dimension and evaluated with a handful of BLAS calls);
-* the seed's original 4-thread factorized implementation
-  (:func:`_fast_4t_legacy`), retained for A/B benchmarking.
+  dimension and evaluated with a handful of BLAS calls).
 
 The factorized paths also reconstruct the *exact* statistics (including the
 per-position reduction count) without materializing activity tensors: every
@@ -268,7 +266,7 @@ class _ErrorAccumulator:
     wide left operand and a narrow stacked right operand:
 
     * terms of a group that share their gated left factor (the same gate
-      and value arrays and the same ``columns``) become one left block;
+      and value arrays) become one left block;
       their right factors are pre-summed into a single ``(Kt, N)`` block;
     * every ``scale`` is folded into the right factor, so no left block is
       ever rescaled;
@@ -281,11 +279,6 @@ class _ErrorAccumulator:
     of the merged terms' bounds, so every partial sum of a group's product
     is still an integer below the float mantissa limit: the result is exact
     in any accumulation order and for any row split.
-
-    ``columns`` optionally restricts a term to a subset of its K positions:
-    a K column whose gated left column or gated right row is entirely zero
-    contributes nothing, so it can be dropped from the stacked operands
-    without changing the product (sparsity-adaptive block pruning).
     """
 
     def __init__(self, m: int, n: int):
@@ -301,41 +294,34 @@ class _ErrorAccumulator:
         values_right: np.ndarray,
         bound: float,
         scale: float = 1.0,
-        columns: np.ndarray | None = None,
     ) -> None:
         """Record the term; ``bound`` upper-bounds its product-sum magnitude."""
         self._terms.append(
-            (gate_left, values_left, gate_right, values_right, bound, scale,
-             columns)
+            (gate_left, values_left, gate_right, values_right, bound, scale)
         )
 
     @staticmethod
     def _merged_blocks(group: list[tuple], dtype) -> list[list]:
-        """``[gate_l, val_l, cols, right]`` per distinct gated left factor.
+        """``[gate_l, val_l, right]`` per distinct gated left factor.
 
-        ``cols`` indexes the term's K positions (all of them when it has no
-        ``columns``); ``right`` is the scaled sum of the right factors of
-        every term that shares the left factor, already in the GEMM dtype.
+        ``right`` is the scaled sum of the right factors of every term that
+        shares the left factor, already in the GEMM dtype.
         """
-        blocks: dict[tuple[int, int, int], list] = {}
-        for gate_l, val_l, gate_r, val_r, _, scale, columns in group:
-            cols = slice(None) if columns is None else columns
-            if isinstance(gate_r, np.ndarray):
-                gate_r = gate_r[cols]
-            right = np.multiply(gate_r, val_r[cols], dtype=dtype,
-                                casting="unsafe")
+        blocks: dict[tuple[int, int], list] = {}
+        for gate_l, val_l, gate_r, val_r, _, scale in group:
+            right = np.multiply(gate_r, val_r, dtype=dtype, casting="unsafe")
             if scale != 1.0:
                 right *= dtype(scale)
-            key = (id(gate_l), id(val_l), id(columns))
+            key = (id(gate_l), id(val_l))
             if key in blocks:
-                blocks[key][3] += right
+                blocks[key][2] += right
             else:
-                blocks[key] = [gate_l, val_l, cols, right]
+                blocks[key] = [gate_l, val_l, right]
         return list(blocks.values())
 
     def _evaluate_group(self, group: list[tuple], dtype) -> np.ndarray:
         blocks = self._merged_blocks(group, dtype)
-        rights = np.concatenate([block[3] for block in blocks], axis=0)
+        rights = np.concatenate([block[2] for block in blocks], axis=0)
         width = rights.shape[0]
         row_bytes = max(1, width * np.dtype(dtype).itemsize)
         rows = max(1, min(self.m, _TILE_BYTES // row_bytes))  # M may be 0
@@ -345,10 +331,10 @@ class _ErrorAccumulator:
             r1 = min(r0 + rows, self.m)
             tile = buffer[: r1 - r0]
             pos = 0
-            for gate_l, val_l, cols, _ in blocks:
+            for gate_l, val_l, _ in blocks:
                 if isinstance(gate_l, np.ndarray):
-                    gate_l = gate_l[r0:r1, cols]
-                val_l = val_l[r0:r1, cols]
+                    gate_l = gate_l[r0:r1]
+                val_l = val_l[r0:r1]
                 stop = pos + val_l.shape[1]
                 np.multiply(gate_l, val_l, out=tile[:, pos:stop],
                             casting="unsafe")
@@ -386,61 +372,6 @@ class _ErrorAccumulator:
         return np.rint(total).astype(np.int64)
 
 
-class _ColumnPruner:
-    """Sparsity-adaptive block pruning for the factorized 4-thread path.
-
-    Every error block is ``(gate_a * left) @ (gate_w * right)``; a K column
-    contributes only when the gated left factor has a nonzero in that column
-    *and* the gated right factor has a nonzero in that row.  Exact per-block
-    masks would cost ``O(M Kt)`` per block, so the pruner intersects three
-    cheap over-approximations, each computed once and reused: the subset
-    gate's active columns (a by-product of the sums the subset-skip test
-    needs anyway) and per-thread activity vectors of the left/right value
-    factors (one ``any`` reduction per thread, computed lazily).  Blocks
-    with no active column are dropped before stacking; mostly-inactive
-    blocks are narrowed to their active columns.  Dropped columns contribute
-    exactly zero, so pruning is bit-exact.
-    """
-
-    def __init__(self, kt: int, select_fraction: float = 0.5):
-        self.kt = kt
-        self.select_fraction = select_fraction
-        self._cols: dict[tuple[str, int], np.ndarray] = {}
-
-    def side_vector(self, kind: str, t: int, values: np.ndarray,
-                    axis: int) -> np.ndarray:
-        """Per-K activity of one value factor (lazily memoized per thread)."""
-        key = (kind, t)
-        vec = self._cols.get(key)
-        if vec is None:
-            vec = (values != 0).any(axis=axis)
-            self._cols[key] = vec
-        return vec
-
-    def columns(
-        self,
-        subset_cols: np.ndarray | None,
-        left_cols: np.ndarray,
-        right_rows: np.ndarray,
-    ) -> tuple[bool, np.ndarray | None]:
-        """``(keep, columns)`` for one block.
-
-        ``keep`` is False when no K column is active (the block is skipped
-        entirely); ``columns`` is the active-column index subset when enough
-        columns are inactive for the gather to pay for itself, else None
-        (stack the full block).
-        """
-        active = left_cols & right_rows
-        if subset_cols is not None:
-            active = active & subset_cols
-        count = int(active.sum())
-        if count == 0:
-            return False, None
-        if count > self.select_fraction * self.kt:
-            return True, None
-        return True, np.flatnonzero(active)
-
-
 class NBSMTMatmul:
     """Functional NB-SMT executor for a fixed thread count and policy.
 
@@ -459,16 +390,6 @@ class NBSMTMatmul:
         validate the factorized fast paths).
     chunk_rows:
         Row chunk size of the reference implementation.
-    fast4t_impl:
-        ``"stacked"`` (default) selects the optimized stacked-GEMM 4-thread
-        path; ``"legacy"`` selects the seed's original factorized
-        implementation, retained for A/B benchmarking (its ``mac_reduced``
-        counter is a collision-count proxy, not the exact reduction count).
-    prune_blocks:
-        Sparsity-adaptive block pruning in the stacked 4-thread path: error
-        blocks whose gated factors have no jointly-active K column are
-        skipped before stacking, and mostly-inactive blocks are narrowed to
-        their active columns.  Bit-exact; disable for A/B benchmarking.
     """
 
     def __init__(
@@ -478,20 +399,14 @@ class NBSMTMatmul:
         collect_stats: bool = True,
         force_reference: bool = False,
         chunk_rows: int = 256,
-        fast4t_impl: str = "stacked",
-        prune_blocks: bool = True,
     ):
         if threads not in (1, 2, 4):
             raise ValueError("NB-SMT supports 1, 2 or 4 threads")
-        if fast4t_impl not in ("stacked", "legacy"):
-            raise ValueError("fast4t_impl must be 'stacked' or 'legacy'")
         self.threads = threads
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.collect_stats = collect_stats
         self.force_reference = force_reference
         self.chunk_rows = chunk_rows
-        self.fast4t_impl = fast4t_impl
-        self.prune_blocks = prune_blocks
         self.stats = SMTStatistics()
 
     # -- public API -----------------------------------------------------------
@@ -530,13 +445,8 @@ class NBSMTMatmul:
             )
         elif self.threads == 2:
             out, stats = _fast_2t(x_t, w_t, self.policy, self.collect_stats)
-        elif self.fast4t_impl == "legacy":
-            out, stats = _fast_4t_legacy(x_t, w_t, self.policy, self.collect_stats)
         else:
-            out, stats = _fast_4t(
-                x_t, w_t, self.policy, self.collect_stats,
-                prune_blocks=self.prune_blocks,
-            )
+            out, stats = _fast_4t(x_t, w_t, self.policy, self.collect_stats)
         if self.collect_stats and stats is not None:
             self.stats.merge(stats)
         return out
@@ -568,11 +478,6 @@ def _max_abs(a: np.ndarray) -> int:
     return max(-int(a.min(initial=0)), int(a.max(initial=0)))
 
 
-def _operand_maxima(x_t: np.ndarray, w_t: np.ndarray) -> tuple[int, int]:
-    """Maximum operand magnitudes, used to tighten GEMM exactness bounds."""
-    return _max_abs(x_t), _max_abs(w_t)
-
-
 def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
     """An int16 copy when the values fit (8-bit operands always do).
 
@@ -596,7 +501,7 @@ def _fast_2t(
     collect_stats: bool,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """Factorized 2-thread execution: exact matmul plus masked-delta matmuls."""
-    amax, wmax = _operand_maxima(x_t, w_t)
+    amax, wmax = _max_abs(x_t), _max_abs(w_t)
     x16 = _narrowed(x_t, amax)
     w16 = _narrowed(w_t, wmax)
     x1, x2 = x16[0], x16[1]
@@ -709,8 +614,6 @@ def _value_luts(width_primary: bool) -> dict[str, np.ndarray]:
     dx = packing._DELTA_LUTS[("act", width_primary)]
     dw = packing._DELTA_LUTS[("wgt", width_primary)]
     return {
-        "x4": act + dx,
-        "w4": wgt + dw,
         "dx": dx,
         "dw": dw,
         "achg": dx != 0,
@@ -831,7 +734,6 @@ def _fast_4t(
     w_t: np.ndarray,
     policy: PackingPolicy,
     collect_stats: bool,
-    prune_blocks: bool = True,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """Optimized factorized 4-thread execution.
 
@@ -845,14 +747,9 @@ def _fast_4t(
     bounds, merging blocks that share a gated left factor.  Statistics are
     reconstructed exactly from per-K-column histograms of the 4-bit thread
     activity patterns (see :func:`_reduced_tables`).
-
-    ``prune_blocks`` additionally drops (or narrows to their jointly-active
-    K columns) error blocks whose gated delta/value factors are empty --
-    frequent for sparse or narrow-valued operands, where most reduction
-    deltas vanish (see :class:`_ColumnPruner`; bit-exact).
     """
     threads = 4
-    amax, wmax = _operand_maxima(x_t, w_t)
+    amax, wmax = _max_abs(x_t), _max_abs(w_t)
     x16 = _narrowed(x_t, amax)
     w16 = _narrowed(w_t, wmax)
     xs = [x16[t] for t in range(threads)]
@@ -878,23 +775,6 @@ def _fast_4t(
     dws = [_wgt_lut_take(luts["dw"], w) for w in ws]
 
     accumulator = _ErrorAccumulator(m, n)
-    pruner = _ColumnPruner(kt) if prune_blocks else None
-
-    def gated_add(t, gate_a, left, lkind, gate_w, right, rkind,
-                  bound, scale=1.0, subset_cols=None):
-        """Record thread ``t``'s error block, pruned to its active K columns."""
-        columns = None
-        if pruner is not None:
-            keep, columns = pruner.columns(
-                subset_cols,
-                pruner.side_vector(lkind, t, left, axis=0),
-                pruner.side_vector(rkind, t, right, axis=1),
-            )
-            if not keep:
-                return
-        accumulator.add(gate_a, left, gate_w, right, bound, scale=scale,
-                        columns=columns)
-
     ones_gate = True  # scalar "no gate" for ungated blocks
     pair_bound = (
         float(kt) * _DELTA_MAX * wmax
@@ -911,12 +791,12 @@ def _fast_4t(
         # Every position is a full (>= 3-way) collision:
         # out = X4 @ W4 = exact + sum_t dx (x) w + x (x) dw + dx (x) dw.
         for t in range(threads):
-            gated_add(t, ones_gate, dxs[t], "dx",
-                      ones_gate, ws[t], "w", many_bounds[0])
-            gated_add(t, ones_gate, xs[t], "x",
-                      ones_gate, dws[t], "dw", many_bounds[1])
-            gated_add(t, ones_gate, dxs[t], "dx",
-                      ones_gate, dws[t], "dw", many_bounds[2])
+            accumulator.add(ones_gate, dxs[t], ones_gate, ws[t],
+                            many_bounds[0])
+            accumulator.add(ones_gate, xs[t], ones_gate, dws[t],
+                            many_bounds[1])
+            accumulator.add(ones_gate, dxs[t], ones_gate, dws[t],
+                            many_bounds[2])
         out = exact + accumulator.total()
     else:
         if policy.width_secondary:
@@ -942,9 +822,6 @@ def _fast_4t(
         for size in (2, 3, 4):
             for subset in combinations(range(threads), size):
                 gate_a, gate_w = gates[subset]
-                # Active K columns of this subset gate: a block gated by
-                # (A_S, W_S) only receives contributions where some row of
-                # A_S and some column of W_S are jointly nonzero.
                 subset_cols = gate_a.any(axis=0) & gate_w.any(axis=1)
                 if not subset_cols.any():
                     continue
@@ -962,40 +839,24 @@ def _fast_4t(
                         merged_x_dw = c2 if policy.width_secondary else c1 + c2
                         pair_dx, merged_dx_w = 0.0, c2
                     if pair_dx != 0.0:
-                        gated_add(
-                            t, gate_a, dxs[t], "dx",
-                            gate_w, sec_wgt[t], "secw",
-                            bound=abs(pair_dx) * pair_bound, scale=pair_dx,
-                            subset_cols=subset_cols,
-                        )
+                        accumulator.add(gate_a, dxs[t], gate_w, sec_wgt[t],
+                                        abs(pair_dx) * pair_bound,
+                                        scale=pair_dx)
                     if pair_x_dw != 0.0:
-                        gated_add(
-                            t, gate_a, sec_act[t], "seca",
-                            gate_w, dws[t], "dw",
-                            bound=abs(pair_x_dw) * pair_bound, scale=pair_x_dw,
-                            subset_cols=subset_cols,
-                        )
+                        accumulator.add(gate_a, sec_act[t], gate_w, dws[t],
+                                        abs(pair_x_dw) * pair_bound,
+                                        scale=pair_x_dw)
                     if merged_dx_w != 0.0:
-                        gated_add(
-                            t, gate_a, dxs[t], "dx",
-                            gate_w, ws[t], "w",
-                            bound=abs(merged_dx_w) * many_bounds[0],
-                            scale=merged_dx_w, subset_cols=subset_cols,
-                        )
+                        accumulator.add(gate_a, dxs[t], gate_w, ws[t],
+                                        abs(merged_dx_w) * many_bounds[0],
+                                        scale=merged_dx_w)
                     if merged_x_dw != 0.0:
-                        gated_add(
-                            t, gate_a, xs[t], "x",
-                            gate_w, dws[t], "dw",
-                            bound=abs(merged_x_dw) * many_bounds[1],
-                            scale=merged_x_dw, subset_cols=subset_cols,
-                        )
+                        accumulator.add(gate_a, xs[t], gate_w, dws[t],
+                                        abs(merged_x_dw) * many_bounds[1],
+                                        scale=merged_x_dw)
                     if c2 != 0.0:
-                        gated_add(
-                            t, gate_a, dxs[t], "dx",
-                            gate_w, dws[t], "dw",
-                            bound=abs(c2) * many_bounds[2], scale=c2,
-                            subset_cols=subset_cols,
-                        )
+                        accumulator.add(gate_a, dxs[t], gate_w, dws[t],
+                                        abs(c2) * many_bounds[2], scale=c2)
         out = exact + accumulator.total()
 
     if not collect_stats:
@@ -1192,181 +1053,4 @@ def _reference_multi_t(
         stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
         stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
         stats.outputs = int(out.size)
-    return out, stats
-
-
-# ---------------------------------------------------------------------------
-# Legacy factorized 4-thread path (the seed implementation), kept for A/B
-# benchmarking and cross-validation.
-# ---------------------------------------------------------------------------
-
-def _thread_error_factors(
-    x_self: np.ndarray, w_self: np.ndarray, policy: PackingPolicy
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Separable factors of the pairwise-collision error term of one thread.
-
-    Returns a list of ``(left, right)`` pairs such that the error a thread
-    contributes at position ``(m, k, n)`` when it collides pairwise equals
-    ``sum_i left_i[m, k] * right_i[k, n]``.
-    """
-    if policy.reduce == "act":
-        delta = packing.act_reduction_delta(x_self, policy).astype(np.float64)
-        right = w_self.astype(np.float64)
-        if policy.width_secondary:
-            right = right * (~wgt_fits_4bit(w_self))
-        return [(delta, right)]
-    delta = packing.wgt_reduction_delta(w_self, policy).astype(np.float64)
-    left = x_self.astype(np.float64)
-    if policy.width_secondary:
-        left = left * (~act_fits_4bit(x_self))
-    return [(left, delta)]
-
-
-def _thread_manyway_factors(
-    x_self: np.ndarray, w_self: np.ndarray, policy: PackingPolicy
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Separable factors of the 3-/4-way-collision error term of one thread.
-
-    The 4b-4b product minus the exact product is the difference of two
-    separable terms: ``x4 (x) w4 - x (x) w``.
-    """
-    luts = _value_luts(policy.width_primary)
-    x4 = _act_lut_take(luts["x4"], x_self)
-    w4 = _wgt_lut_take(luts["w4"], w_self)
-    return [
-        (x4.astype(np.float64), w4.astype(np.float64)),
-        (-x_self.astype(np.float64), w_self.astype(np.float64)),
-    ]
-
-
-def _demand_monomials(others: list[int]) -> tuple[list, list]:
-    """Inclusion-exclusion expansions of the other-thread demand indicators.
-
-    For the three "other" threads of a 4-threaded PE, returns the monomial
-    expansions of ``1(exactly one other active)`` and ``1(two or more others
-    active)`` as lists of ``(coefficient, subset_of_other_threads)`` terms.
-    Each monomial ``prod_{s in subset} u_s`` is separable because ``u_s``
-    factors into an activation-side and a weight-side mask.
-    """
-    s1, s2, s3 = others
-    exactly_one = [
-        (1.0, (s1,)), (1.0, (s2,)), (1.0, (s3,)),
-        (-2.0, (s1, s2)), (-2.0, (s1, s3)), (-2.0, (s2, s3)),
-        (3.0, (s1, s2, s3)),
-    ]
-    two_or_more = [
-        (1.0, (s1, s2)), (1.0, (s1, s3)), (1.0, (s2, s3)),
-        (-2.0, (s1, s2, s3)),
-    ]
-    return exactly_one, two_or_more
-
-
-def _fast_4t_legacy(
-    x_t: np.ndarray,
-    w_t: np.ndarray,
-    policy: PackingPolicy,
-    collect_stats: bool,
-) -> tuple[np.ndarray, SMTStatistics | None]:
-    """The seed's factorized 4-thread execution (one GEMM per monomial).
-
-    Bit-identical outputs to :func:`_fast_4t`, but roughly 2-3x slower (it
-    issues ~60 separate float64 GEMMs and recomputes the subset gates for
-    every term) and its ``mac_reduced`` counter is the collision-count
-    proxy rather than the exact reduction count.
-    """
-    threads = 4
-    xs = [x_t[t].astype(np.int64) for t in range(threads)]
-    ws = [w_t[t].astype(np.int64) for t in range(threads)]
-
-    exact = _exact_matmul(
-        np.concatenate(xs, axis=1), np.concatenate(ws, axis=0)
-    )
-
-    act_masks = [x != 0 for x in xs]
-    wgt_masks = [w != 0 for w in ws]
-
-    error = np.zeros_like(exact, dtype=np.float64)
-
-    if not policy.sparsity:
-        for t in range(threads):
-            for left, right in _thread_manyway_factors(xs[t], ws[t], policy):
-                error += left @ right
-    else:
-        for t in range(threads):
-            others = [s for s in range(threads) if s != t]
-            exactly_one, two_or_more = _demand_monomials(others)
-            pair_factors = _thread_error_factors(xs[t], ws[t], policy)
-            many_factors = _thread_manyway_factors(xs[t], ws[t], policy)
-            for coeff, subset in exactly_one:
-                act_gate = act_masks[t].copy()
-                wgt_gate = wgt_masks[t].copy()
-                for s in subset:
-                    act_gate = act_gate & act_masks[s]
-                    wgt_gate = wgt_gate & wgt_masks[s]
-                for left, right in pair_factors:
-                    error += coeff * ((act_gate * left) @ (wgt_gate * right))
-            for coeff, subset in two_or_more:
-                act_gate = act_masks[t].copy()
-                wgt_gate = wgt_masks[t].copy()
-                for s in subset:
-                    act_gate = act_gate & act_masks[s]
-                    wgt_gate = wgt_gate & wgt_masks[s]
-                for left, right in many_factors:
-                    error += coeff * ((act_gate * left) @ (wgt_gate * right))
-
-    out = exact + np.rint(error).astype(np.int64)
-    if not collect_stats:
-        return out, None
-
-    stats = SMTStatistics()
-    m, kt = xs[0].shape
-    n = ws[0].shape[1]
-
-    def _pair_count(act_gate: np.ndarray, wgt_gate: np.ndarray) -> int:
-        return int(
-            act_gate.sum(axis=0).astype(np.int64)
-            @ wgt_gate.sum(axis=1).astype(np.int64)
-        )
-
-    active_counts = [_pair_count(act_masks[t], wgt_masks[t]) for t in range(threads)]
-
-    slots_active = 0
-    for size in range(1, threads + 1):
-        sign = (-1) ** (size + 1)
-        for subset in combinations(range(threads), size):
-            act_gate = act_masks[subset[0]]
-            wgt_gate = wgt_masks[subset[0]]
-            for s in subset[1:]:
-                act_gate = act_gate & act_masks[s]
-                wgt_gate = wgt_gate & wgt_masks[s]
-            slots_active += sign * _pair_count(act_gate, wgt_gate)
-
-    collided = 0
-    for t in range(threads):
-        others = [s for s in range(threads) if s != t]
-        alone = 0
-        for size in range(0, len(others) + 1):
-            sign = (-1) ** size
-            for subset in combinations(others, size):
-                act_gate = act_masks[t]
-                wgt_gate = wgt_masks[t]
-                for s in subset:
-                    act_gate = act_gate & act_masks[s]
-                    wgt_gate = wgt_gate & wgt_masks[s]
-                alone += sign * _pair_count(act_gate, wgt_gate)
-        collided += active_counts[t] - alone
-
-    stats.mac_total = threads * m * kt * n
-    stats.mac_active = int(sum(active_counts))
-    stats.mac_collided = int(collided)
-    # The legacy path reports collisions as the reduction-count proxy; the
-    # optimized path and the reference executor report the exact count.
-    stats.mac_reduced = int(collided)
-    stats.slots_total = m * kt * n
-    stats.slots_active = int(slots_active)
-    stats.act_values = int(sum(x.size for x in xs))
-    stats.act_nonzero = int(sum(mask.sum() for mask in act_masks))
-    stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
-    stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
-    stats.outputs = int(exact.size)
     return out, stats

@@ -97,8 +97,6 @@ class InlineReplica:
         self.engine = NBSMTEngine(
             spec.resolved_policy(),
             collect_stats=spec.collect_stats,
-            fast4t_impl=spec.fast4t_impl,
-            prune_blocks=spec.prune_blocks,
         )
         self._closed = False
         self._point: OperatingPoint | None = None
@@ -226,9 +224,9 @@ class InlineReplica:
         the modeled SySMT service time of the active operating point.
 
         ``trace`` is an optional mutable carrier: when given, the batch's
-        engine-compute timing (wall start/duration, executing pid, rung,
-        per-layer breakdown from the engine) is stored under
-        ``trace["engine"]`` for the caller to turn into trace spans.
+        engine-compute timing (wall-clock start, monotonic duration,
+        executing pid, rung, per-layer breakdown from the engine) is stored
+        under ``trace["engine"]`` for the caller to turn into trace spans.
         """
         if self._closed:
             raise RuntimeError(f"replica for {self.spec.name!r} is closed")
@@ -244,7 +242,7 @@ class InlineReplica:
             if trace is not None:
                 trace["engine"] = {
                     "start": wall_started,
-                    "duration_s": time.time() - wall_started,
+                    "duration_s": time.monotonic() - started,
                     "pid": os.getpid(),
                     "level": self.level,
                     "layers": list(self.engine.layer_times),

@@ -55,8 +55,6 @@ class ModelSpec:
     threads: int = 4
     policy: str | None = None
     reorder: bool = False
-    fast4t_impl: str = "stacked"
-    prune_blocks: bool = True
     collect_stats: bool = True
     slow_layers: tuple[str, ...] = ()
     slow_threads: int = 2
@@ -96,8 +94,6 @@ class ModelSpec:
             "threads": self.threads,
             "policy": self.resolved_policy(),
             "reorder": self.reorder,
-            "fast4t_impl": self.fast4t_impl,
-            "prune_blocks": self.prune_blocks,
             "collect_stats": self.collect_stats,
             "slow_layers": list(self.slow_layers),
             "slow_threads": self.slow_threads,

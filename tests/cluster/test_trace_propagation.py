@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import worker as worker_module
 from repro.cluster.agent import ClusterAgent
 from repro.cluster.transport import SocketTransport
 from repro.cluster.worker import RemoteWorker, SweepHub
+from repro.eval.sweep import SweepPoint, point_runner
 from repro.telemetry import bus as telemetry_bus
 from repro.telemetry.tracing import new_span_id, new_trace_id
+from tests.conftest import SteppedWallClock
 
 pytestmark = pytest.mark.trace
+
+
+@point_runner("trace-noop")
+def _noop_point(ctx, point):
+    return {"x": point.param("x")}
 
 
 @pytest.fixture
@@ -30,6 +38,19 @@ def agent(tmp_path):
     agent.start_in_thread()
     yield agent
     agent.stop()
+
+
+def _capture_spans(name: str):
+    """``(spans, unsubscribe)``: the ``span`` events named ``name``."""
+    spans: list[dict] = []
+    bus = telemetry_bus.get_bus()
+
+    def collect(event):
+        if event.data.get("name") == name:
+            spans.append(dict(event.data))
+
+    callback = bus.subscribe(callback=collect, types={"span"})
+    return spans, lambda: bus.unsubscribe(callback)
 
 
 def _capture_requests(agent) -> list[dict]:
@@ -124,3 +145,47 @@ def test_sweep_hub_mints_a_trace_and_publishes_its_root_span(tmp_path):
         assert roots[0]["duration_ms"] >= 0.0
     finally:
         bus.unsubscribe(callback)
+
+
+def test_sweep_hub_span_duration_ignores_wall_clock_steps(agent, monkeypatch):
+    monkeypatch.setattr(worker_module, "time", SteppedWallClock())
+    spans, unsubscribe = _capture_spans("sweep_hub")
+    try:
+        hub = SweepHub(
+            agent, trace_id=new_trace_id(), root_span_id=new_span_id()
+        )
+        hub.close()
+    finally:
+        unsubscribe()
+    (span,) = spans
+    assert span["start"] == 1_000_000.0
+    assert 0.0 <= span["duration_ms"] < 60_000.0
+
+
+def test_remote_lease_span_duration_ignores_wall_clock_steps(
+    agent, monkeypatch
+):
+    agent.meta = {
+        "kind": "sweep",
+        "session": "s1",
+        "scale": "fast",
+        "resume": False,
+        "telemetry": False,
+        "trace_id": new_trace_id(),
+        "span_id": new_span_id(),
+    }
+    point = SweepPoint.make("trace-noop", None, x=1)
+    agent.ledger.offer([{"spec": point.spec(), "cost": point.cost}])
+    monkeypatch.setattr(worker_module, "time", SteppedWallClock())
+    spans, unsubscribe = _capture_spans("remote_lease")
+    try:
+        worker = RemoteWorker(
+            agent.address, node="w1", max_idle_s=0.3, idle_poll_s=0.05
+        )
+        worker.run()
+    finally:
+        unsubscribe()
+    assert worker.completed_points == 1
+    (span,) = spans
+    assert span["status"] == "ok"
+    assert 0.0 <= span["duration_ms"] < 60_000.0

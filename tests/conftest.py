@@ -12,6 +12,9 @@ conformance suite are guaranteed to exercise the identical model.
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,24 @@ def make_quantized_pair(
     w = np.clip(np.rint(rng.normal(0.0, 25.0, (k, n))), -127, 127)
     w[rng.random((k, n)) < wgt_sparsity] = 0
     return x.astype(np.int64), w.astype(np.int64)
+
+
+class SteppedWallClock:
+    """A ``time`` module stand-in whose wall clock steps 100 s back per read.
+
+    Patch it over a module's ``time`` to check that span durations come from
+    the monotonic clock: the first ``time()`` reading is 1e6, and every other
+    attribute is the real module's.
+    """
+
+    def __init__(self):
+        self._wall = itertools.count(1_000_000.0, -100.0)
+
+    def time(self) -> float:
+        return next(self._wall)
+
+    def __getattr__(self, name):
+        return getattr(time, name)
 
 
 @pytest.fixture

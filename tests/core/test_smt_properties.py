@@ -3,7 +3,7 @@
 Hypothesis drives random operand matrices (with the boundary values the
 collision logic cares about: 4-bit fits, multiples of 16, zeros) through
 
-* the factorized fast paths (2- and 4-thread, optimized and legacy),
+* the factorized fast paths (2- and 4-thread),
 * the chunked reference executor, and
 * the explicit SySMT simulators (vectorized lane-level and per-PE objects),
 
@@ -81,16 +81,6 @@ def test_factorized_matches_reference_bit_exactly(case):
     out_reference = reference.matmul(x, w)
     np.testing.assert_array_equal(out_fast, out_reference)
     _assert_stats_equal(fast.stats, reference.stats, f"{policy}/T{threads}")
-
-
-@STANDARD_SETTINGS
-@given(case=nbsmt_case())
-def test_optimized_4t_matches_legacy_4t(case):
-    """The stacked-GEMM 4-thread path reproduces the seed implementation."""
-    x, w, _, policy = case
-    optimized = NBSMTMatmul(4, policy, collect_stats=False)
-    legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
-    np.testing.assert_array_equal(optimized.matmul(x, w), legacy.matmul(x, w))
 
 
 @STANDARD_SETTINGS

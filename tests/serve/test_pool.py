@@ -6,8 +6,10 @@ import pytest
 from repro.core.engine import NBSMTEngine
 from repro.eval.parallel import fork_available
 from repro.eval.throttle import throttle_assignment
+from repro.serve import pool as pool_module
 from repro.serve.pool import EnginePool, ForkedReplica, InlineReplica
 from repro.serve.registry import ModelSpec, ServeRegistry
+from tests.conftest import SteppedWallClock
 
 
 def tiny_spec(**overrides) -> ModelSpec:
@@ -44,6 +46,18 @@ def test_inline_replica_stats_are_per_call(tiny_harness, tiny_provider):
     replica.close()
     for name in first:
         assert first[name].as_dict() == second[name].as_dict()
+
+
+def test_engine_trace_duration_ignores_wall_clock_steps(
+    tiny_harness, tiny_provider, monkeypatch
+):
+    replica = InlineReplica(tiny_spec(), tiny_provider, warm=False)
+    monkeypatch.setattr(pool_module, "time", SteppedWallClock())
+    trace: dict = {}
+    replica.infer_ex(tiny_harness.eval_images[:2], trace=trace)
+    replica.close()
+    assert trace["engine"]["start"] == 1_000_000.0
+    assert 0.0 <= trace["engine"]["duration_s"] < 60.0
 
 
 def test_throttled_spec_uses_throttle_assignment(tiny_harness, tiny_provider):
