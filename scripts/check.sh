@@ -9,7 +9,8 @@
 #                                    # (HTTP e2e, sharding, adaptive QoS)
 #   scripts/check.sh --telemetry     # compileall + every telemetry test
 #                                    # (bus/timeline/coordinator tier-1
-#                                    # plus the SSE/dashboard e2e)
+#                                    # plus the SSE/dashboard e2e) and the
+#                                    # shared HTTP core both servers run on
 #   scripts/check.sh --alerts        # compileall + the alert suite (unit,
 #                                    # stateful lifecycle properties, and
 #                                    # the chaos degradation contract)
@@ -52,9 +53,10 @@ if [[ "${1:-}" == "--serve" ]]; then
 elif [[ "${1:-}" == "--telemetry" ]]; then
     shift
     # The whole telemetry suite, serve-marked SSE/dashboard e2e included,
-    # plus the serving-side telemetry integration tests.
+    # plus the serving-side telemetry integration tests and the HTTP core
+    # (limits, keep-alive, eviction) that the server and dashboard share.
     python -m pytest -x -q -m "" tests/telemetry \
-        tests/serve/test_telemetry_serve.py "$@"
+        tests/serve/test_telemetry_serve.py tests/utils/test_httpcore.py "$@"
 elif [[ "${1:-}" == "--alerts" ]]; then
     shift
     # Alert engine end to end: rule/sink/history unit tests, the stateful

@@ -524,6 +524,7 @@ class DynamicBatcher:
                     start=engine.get("start", wall_started),
                     duration_s=engine.get("duration_s", 0.0),
                     pid=engine.get("pid"), level=engine.get("level"),
+                    layers_dropped=engine.get("layers_dropped", 0),
                 )
                 engine_context = batch_context.child(
                     engine_payload["span_id"]

@@ -225,7 +225,8 @@ class InlineReplica:
 
         ``trace`` is an optional mutable carrier: when given, the batch's
         engine-compute timing (wall-clock start, monotonic duration,
-        executing pid, rung, per-layer breakdown from the engine) is stored
+        executing pid, rung, per-layer breakdown from the engine and the
+        count of layer timings the engine dropped at its cap) is stored
         under ``trace["engine"]`` for the caller to turn into trace spans.
         """
         if self._closed:
@@ -246,6 +247,7 @@ class InlineReplica:
                     "pid": os.getpid(),
                     "level": self.level,
                     "layers": list(self.engine.layer_times),
+                    "layers_dropped": self.engine.layer_times_dropped,
                 }
             self.engine.reset_stats()
             level = self.level

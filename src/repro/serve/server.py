@@ -1,10 +1,11 @@
 """Asyncio HTTP front-end of the NB-SMT inference service.
 
-Pure stdlib: a minimal HTTP/1.1 server on ``asyncio`` streams (keep-alive,
-``Content-Length`` framing, JSON bodies).  The event loop only parses
-requests and awaits futures; all model execution happens on the dynamic
-batchers' worker threads (NumPy/BLAS release the GIL), so one process
-serves many concurrent connections per endpoint.
+Pure stdlib: the routes below run on the shared hardened HTTP/1.1 core
+(:class:`repro.utils.httpcore.HttpCore`), which ``repro.cli dash`` runs
+on too.  The event loop only parses requests and awaits futures; all
+model execution happens on the dynamic batchers' worker threads
+(NumPy/BLAS release the GIL), so one process serves many concurrent
+connections per endpoint.
 
 Routes
 ------
@@ -28,6 +29,8 @@ Routes
   operating point that served the request.  When the endpoint's admission
   budget is exhausted, responds ``429`` immediately (backpressure) instead
   of queueing without bound.
+* ``/dashboard``, ``/v1/events``, ``/v1/telemetry``, ``/v1/traces`` --
+  :func:`repro.telemetry.dashboard.telemetry_route`, shared with ``dash``.
 
 Adaptive endpoints (``ModelSpec.ladder_rungs > 1``) are watched by a
 periodic QoS tick: each endpoint's :class:`~repro.serve.qos.EndpointGovernor`
@@ -45,10 +48,10 @@ compute), and answers ``504 deadline_exceeded`` -- never a silent drop.
 ``X-Idempotency-Key`` headers dedupe retries: a concurrent duplicate
 shares the in-flight future, a later duplicate replays the recorded
 response, so a retried request never double-resolves.  The socket layer
-is hardened against misbehaving clients: header/body read timeouts
-(408), header size caps (431), body size caps (413), write timeouts
-(byte-drip readers are aborted), and a connection cap that evicts the
-idlest connection (slow-loris) rather than refusing service.
+is the core's: header/body read timeouts (408), header size caps (431),
+body size caps (413), malformed requests (400), write timeouts (byte-drip
+readers are aborted), and a connection cap that evicts the idlest
+connection (slow-loris) rather than refusing service.
 
 Alerts + health history (PR 9)
 ------------------------------
@@ -98,11 +101,14 @@ from repro.serve.pool import EnginePool
 from repro.serve.qos import EndpointGovernor, QoSConfig, QoSController
 from repro.serve.registry import ServeRegistry, default_registry
 from repro.telemetry import bus as telemetry_bus
-from repro.telemetry.dashboard import DASHBOARD_HTML, EventRelay, stream_sse
+from repro.telemetry.dashboard import EventRelay, telemetry_route
 from repro.telemetry.tracing import TRACE_HEADER, TraceStore, Tracer
-
-_MAX_BODY_BYTES = 64 * 1024 * 1024
-_MAX_HEADER_BYTES = 32 * 1024
+from repro.utils.httpcore import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    HttpCore,
+    HttpError,
+)
 
 
 def retry_after_header(retry_after_ms: float) -> str:
@@ -117,56 +123,6 @@ def retry_after_header(retry_after_ms: float) -> str:
     conservative upper bound of ``retry_after_ms``.
     """
     return str(max(1, math.ceil(float(retry_after_ms) / 1000.0)))
-
-
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str, extra: dict | None = None,
-                 headers: dict | None = None):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.extra = extra or {}
-        self.headers = headers or {}
-
-    def body(self) -> dict:
-        return {"error": self.message, **self.extra}
-
-
-class _RawBody:
-    """A non-JSON response body (the dashboard page)."""
-
-    def __init__(self, body: bytes, content_type: str):
-        self.body = body
-        self.content_type = content_type
-
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-
-class _ConnState:
-    """Liveness bookkeeping of one open connection (slow-loris eviction)."""
-
-    __slots__ = ("writer", "last_activity", "busy")
-
-    def __init__(self, writer, now: float):
-        self.writer = writer
-        self.last_activity = now
-        #: A busy connection is awaiting an admitted request's result --
-        #: evicting it would lose a ledgered response, so eviction only
-        #: ever targets idle (reading/parked) connections.
-        self.busy = False
 
 
 class NBSMTServer:
@@ -197,8 +153,8 @@ class NBSMTServer:
         body_timeout_s: float = 30.0,
         write_timeout_s: float = 30.0,
         drain_timeout_s: float = 5.0,
-        max_header_bytes: int = _MAX_HEADER_BYTES,
-        max_body_bytes: int = _MAX_BODY_BYTES,
+        max_header_bytes: int = MAX_HEADER_BYTES,
+        max_body_bytes: int = MAX_BODY_BYTES,
         idempotency_cache: int = 1024,
         spool_budget_bytes: int = 0,
         alerts: bool = True,
@@ -224,6 +180,7 @@ class NBSMTServer:
         self.governors: dict[str, EndpointGovernor] = {}
         self.qos_config = qos or QoSConfig()
         self.qos_tick_s = float(qos_tick_s)
+        self._tick_errors: dict[str, str] = {}
         self.shard_exchange = shard_exchange
         self.shard_index = int(shard_index)
         self.shard_publish_s = float(shard_publish_s)
@@ -335,26 +292,23 @@ class NBSMTServer:
         self._last_expired: dict[str, int] = {}
         self._sock = sock
         self._reuse_port = bool(reuse_port)
-        self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
         self._background_tasks: list[asyncio.Task] = []
         self._stopped = False
         self._draining = False
         # -- socket hardening (request lifelines) --------------------------
         self.clock = clock
-        self.max_connections = max(1, int(max_connections))
-        self.read_timeout_s = float(read_timeout_s)
-        self.body_timeout_s = float(body_timeout_s)
-        self.write_timeout_s = float(write_timeout_s)
         self.drain_timeout_s = float(drain_timeout_s)
-        self.max_header_bytes = int(max_header_bytes)
-        self.max_body_bytes = int(max_body_bytes)
-        self._connections: set[_ConnState] = set()
-        self._active_requests = 0
-        self.evicted_connections = 0
-        self.refused_connections = 0
-        self.timed_out_reads = 0
-        self.timed_out_writes = 0
+        self.http = HttpCore(
+            self._serve_request,
+            clock=clock,
+            max_connections=max_connections,
+            read_timeout_s=read_timeout_s,
+            body_timeout_s=body_timeout_s,
+            write_timeout_s=write_timeout_s,
+            max_header_bytes=max_header_bytes,
+            max_body_bytes=max_body_bytes,
+        )
         self.idempotent_replays = 0
         self._idempotency_cache = max(0, int(idempotency_cache))
         self._idempotency: OrderedDict[str, object] = OrderedDict()
@@ -428,42 +382,24 @@ class NBSMTServer:
         # Endpoint warm-up trains/calibrates on first use; keep it off the
         # event loop thread so health checks stay responsive once up.
         await loop.run_in_executor(None, self._build_endpoints)
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=self.host,
-                port=self.port,
-                reuse_port=self._reuse_port or None,
-            )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        self.port = await self.http.listen(
+            self.host, self.port, sock=self._sock, reuse_port=self._reuse_port
+        )
         if any(
             governor.controller is not None
             for governor in self.governors.values()
         ):
-            self._background_tasks.append(
-                asyncio.create_task(self._qos_loop())
-            )
+            self._every(self.qos_tick_s, self._tick_qos)
         if self.shard_exchange is not None:
-            self._background_tasks.append(
-                asyncio.create_task(self._publish_loop())
-            )
-        self._background_tasks.append(
-            asyncio.create_task(self._telemetry_loop())
-        )
+            # This shard's mergeable metrics payload, for its peers.
+            self._every(self.shard_publish_s, self._publish_metrics)
+        # `endpoint_health` events: the dashboard's heartbeat.
+        self._every(self.telemetry_tick_s, self.publish_health)
         if self.probe_interval_s > 0 and self.alert_engine is not None:
-            self._background_tasks.append(
-                asyncio.create_task(self._probe_loop())
-            )
+            self._every(self.probe_interval_s, self._run_probes)
         if self.relay.follower is not None:
-            self._background_tasks.append(
-                asyncio.create_task(self._follow_loop())
-            )
+            # Peer shards' spool events into this shard's SSE streams.
+            self._every(0.25, self.relay.poll)
         telemetry_bus.publish(
             "server_started",
             endpoints=sorted(self.batchers),
@@ -471,84 +407,54 @@ class NBSMTServer:
             port=self.port,
         )
 
-    async def _qos_loop(self) -> None:
-        """Periodic QoS tick: walk every adaptive endpoint's ladder.
+    def _every(self, interval_s: float, work) -> None:
+        """Run ``work`` every ``interval_s`` until stopped, on the executor:
+        it waits on replica locks, files or engines, never on the loop."""
 
-        Applying a transition waits on replica execution locks (up to one
-        in-flight batch), so ticks run on the executor, never on the event
-        loop thread.
-        """
-        loop = asyncio.get_running_loop()
+        async def periodic():
+            loop = asyncio.get_running_loop()
+            while not self._stopped:
+                await loop.run_in_executor(None, work)
+                await asyncio.sleep(interval_s)
 
-        tick_errors: dict[str, str] = {}
+        self._background_tasks.append(asyncio.create_task(periodic()))
 
-        def tick_all():
-            for governor in self.governors.values():
-                try:
-                    transition = governor.tick()
-                except Exception as exc:  # noqa: BLE001 - loop must survive
-                    # One endpoint's failed transition (e.g. a dead forked
-                    # replica mid-swap) must not kill adaptivity for every
-                    # endpoint; the governor already resynced its
-                    # controller.  Log once per distinct error.
-                    if self._stopped:
-                        return
-                    message = repr(exc)
-                    if tick_errors.get(governor.endpoint) != message:
-                        tick_errors[governor.endpoint] = message
-                        print(
-                            f"repro.serve: qos tick for {governor.endpoint} "
-                            f"failed: {message}",
-                            flush=True,
-                        )
-                    continue
-                tick_errors.pop(governor.endpoint, None)
-                if transition is not None:
+    def _tick_qos(self) -> None:
+        """One QoS tick: walk every adaptive endpoint's ladder."""
+        for governor in self.governors.values():
+            try:
+                transition = governor.tick()
+            except Exception as exc:  # noqa: BLE001 - loop must survive
+                # One endpoint's failed transition (e.g. a dead forked
+                # replica mid-swap) must not kill adaptivity for every
+                # endpoint; the governor already resynced its controller.
+                # Log once per distinct error.
+                if self._stopped:
+                    return
+                message = repr(exc)
+                if self._tick_errors.get(governor.endpoint) != message:
+                    self._tick_errors[governor.endpoint] = message
                     print(
-                        f"repro.serve: {governor.endpoint} "
-                        f"{transition.direction} rung "
-                        f"{transition.from_level}->{transition.to_level} "
-                        f"({transition.reason})",
+                        f"repro.serve: qos tick for {governor.endpoint} "
+                        f"failed: {message}",
                         flush=True,
                     )
-
-        while not self._stopped:
-            await loop.run_in_executor(None, tick_all)
-            await asyncio.sleep(self.qos_tick_s)
-
-    async def _publish_loop(self) -> None:
-        """Periodically publish this shard's mergeable metrics payload."""
-        loop = asyncio.get_running_loop()
-        while not self._stopped:
-            await loop.run_in_executor(None, self._publish_metrics)
-            await asyncio.sleep(self.shard_publish_s)
+                continue
+            self._tick_errors.pop(governor.endpoint, None)
+            if transition is not None:
+                print(
+                    f"repro.serve: {governor.endpoint} "
+                    f"{transition.direction} rung "
+                    f"{transition.from_level}->{transition.to_level} "
+                    f"({transition.reason})",
+                    flush=True,
+                )
 
     def _publish_metrics(self) -> None:
         try:
             self.shard_exchange.publish(self.metrics.to_payload())
         except OSError:  # pragma: no cover - spool dir torn down
             pass
-
-    async def _telemetry_loop(self) -> None:
-        """Periodic ``endpoint_health`` events (the dashboard's heartbeat)."""
-        loop = asyncio.get_running_loop()
-        while not self._stopped:
-            await loop.run_in_executor(None, self.publish_health)
-            await asyncio.sleep(self.telemetry_tick_s)
-
-    async def _follow_loop(self) -> None:
-        """Relay peer shards' spool events into this shard's SSE streams."""
-        loop = asyncio.get_running_loop()
-        while not self._stopped:
-            await loop.run_in_executor(None, self.relay.poll)
-            await asyncio.sleep(0.25)
-
-    async def _probe_loop(self) -> None:
-        """Synthetic self-test requests per endpoint (``probe_result``)."""
-        loop = asyncio.get_running_loop()
-        while not self._stopped:
-            await loop.run_in_executor(None, self._run_probes)
-            await asyncio.sleep(self.probe_interval_s)
 
     def _run_probes(self) -> None:
         """One probe request through each endpoint's real data path.
@@ -659,24 +565,11 @@ class NBSMTServer:
         telemetry_bus.publish(
             "server_draining", endpoints=sorted(self.batchers)
         )
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        drain_until = self.clock() + self.drain_timeout_s
-        while self._active_requests > 0 and self.clock() < drain_until:
-            await asyncio.sleep(0.02)
+        await self.http.close(self.drain_timeout_s)
         self._stopped = True
-        for state in list(self._connections):
-            transport = state.writer.transport
-            if transport is not None:
-                transport.abort()
         for task in self._background_tasks:
             task.cancel()
-        for task in self._background_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
+        await asyncio.gather(*self._background_tasks, return_exceptions=True)
         loop = asyncio.get_running_loop()
 
         def drain_and_close():
@@ -725,221 +618,39 @@ class NBSMTServer:
         )
         await self._stop_event.wait()
 
-    # -- HTTP plumbing -----------------------------------------------------
-    def _evict_idlest(self) -> bool:
-        """Abort the longest-idle non-busy connection (slow-loris victim).
-
-        Only idle connections are candidates -- a busy one is awaiting an
-        admitted request's result, and evicting it would turn a ledgered
-        in-flight request into a lost response.
-        """
-        candidates = [s for s in self._connections if not s.busy]
-        if not candidates:
-            return False
-        victim = min(candidates, key=lambda s: s.last_activity)
-        self.evicted_connections += 1
-        transport = victim.writer.transport
-        if transport is not None:
-            transport.abort()
-        # The victim's handler wakes with a reset and unregisters itself;
-        # drop it from the set now so the accounting never over-counts.
-        self._connections.discard(victim)
-        return True
-
-    async def _handle_connection(self, reader, writer) -> None:
-        state = _ConnState(writer, self.clock())
-        if self._draining:
-            # The listener is closed, but a connection may have been
-            # accepted into the kernel backlog before that.
-            self.refused_connections += 1
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            return
-        if len(self._connections) >= self.max_connections:
-            if not self._evict_idlest():
-                # Every slot is busy computing: refuse the newcomer rather
-                # than kill an in-flight response.
-                self.refused_connections += 1
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-                return
-        self._connections.add(state)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _HttpError as exc:
-                    await self._write_response(
-                        writer, exc.status, {"error": exc.message}, False
-                    )
-                    break
-                if request is None:
-                    break
-                state.last_activity = self.clock()
-                method, path, headers, body = request
-                if path.split("?", 1)[0] == "/v1/events":
-                    # SSE takes over the connection (no framing, no reuse).
-                    if method != "GET":
-                        await self._write_response(
-                            writer, 405, {"error": "use GET"}, False
-                        )
-                        break
-                    await stream_sse(
-                        writer,
-                        self.relay,
-                        stopped=lambda: self._stopped or self._draining,
-                    )
-                    break
-                extra_headers: dict[str, str] = {}
-                trace = root_span = None
-                if (
-                    self.tracer is not None
-                    and path.split("?", 1)[0].endswith(":predict")
-                ):
-                    # Front door of the trace: honor an inbound id, echo
-                    # it on the response, open the root request span.
-                    trace = self.tracer.trace(headers.get(TRACE_HEADER))
-                    extra_headers["X-Trace-Id"] = trace.trace_id
-                    root_span = self.tracer.start_span(
-                        trace, "request", root=True,
-                        method=method, path=path.split("?", 1)[0],
-                        shard=self.shard_index,
-                    )
-                state.busy = True
-                self._active_requests += 1
-                try:
-                    status, payload = await self._route(
-                        method, path, body, headers, trace=trace
-                    )
-                except _HttpError as exc:
-                    status, payload = exc.status, exc.body()
-                    extra_headers = {**extra_headers, **exc.headers}
-                except Exception as exc:  # noqa: BLE001 - reported as 500
-                    status, payload = 500, {"error": repr(exc)}
-                finally:
-                    state.busy = False
-                    self._active_requests -= 1
-                    state.last_activity = self.clock()
-                if root_span is not None:
-                    root_span.finish(
-                        status="ok" if status < 400 else f"http_{status}",
-                        http_status=status,
-                    )
-                    self._apply_exemplar_policy(trace, status)
-                keep_alive = (
-                    headers.get("connection", "keep-alive") != "close"
-                    and not self._draining
-                )
-                await self._write_response(
-                    writer, status, payload, keep_alive, extra_headers
-                )
-                state.last_activity = self.clock()
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(state)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, OSError):  # pragma: no cover
-                pass
-
-    async def _read_line(self, reader) -> bytes:
-        """One header line within the read timeout (slow-loris defense).
-
-        The timeout bounds *each line*, not the whole header block -- but
-        with the header byte cap a dripping client can stretch the read
-        phase to at most ``read_timeout_s`` per line over a bounded number
-        of lines before 431/408 reclaims the connection.
-        """
-        try:
-            return await asyncio.wait_for(
-                reader.readline(), timeout=self.read_timeout_s
-            )
-        except asyncio.TimeoutError:
-            self.timed_out_reads += 1
-            raise _HttpError(408, "timed out reading request") from None
-
-    async def _read_request(self, reader):
-        request_line = await self._read_line(reader)
-        if not request_line:
-            return None
-        header_bytes = len(request_line)
-        if header_bytes > self.max_header_bytes:
-            raise _HttpError(431, "request line too large")
-        try:
-            method, path, _version = request_line.decode("ascii").split(None, 2)
-        except ValueError:
-            raise _HttpError(400, "malformed request line") from None
-        headers: dict[str, str] = {}
-        while True:
-            line = await self._read_line(reader)
-            header_bytes += len(line)
-            if header_bytes > self.max_header_bytes:
-                raise _HttpError(431, "request headers too large")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip().lower()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length header") from None
-        if length > self.max_body_bytes:
-            raise _HttpError(413, "request body too large")
-        if length:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=self.body_timeout_s
-                )
-            except asyncio.TimeoutError:
-                # Mid-body disconnect or byte-drip: the declared body never
-                # arrived inside the budget.
-                self.timed_out_reads += 1
-                raise _HttpError(408, "timed out reading request body") from None
-        else:
-            body = b""
-        return method.upper(), path, headers, body
-
-    async def _write_response(
-        self, writer, status: int, payload, keep_alive: bool,
-        extra_headers: dict | None = None,
-    ) -> None:
-        if isinstance(payload, _RawBody):
-            body = payload.body
-            content_type = payload.content_type
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        headers = "".join(
-            f"{name}: {value}\r\n"
-            for name, value in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            f"{headers}"
-            "\r\n"
-        ).encode("ascii")
-        writer.write(head + body)
-        try:
-            await asyncio.wait_for(writer.drain(), timeout=self.write_timeout_s)
-        except asyncio.TimeoutError:
-            # A client that stopped reading (byte-drip / half-open) is
-            # holding our buffers hostage; abort rather than wait forever.
-            self.timed_out_writes += 1
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            raise ConnectionResetError("response write timed out") from None
-
     # -- routing -----------------------------------------------------------
+    async def _serve_request(self, request):
+        """The HTTP core's route: a predict's root ``request`` span.
+
+        The span opens once the request has been read and closes before
+        the response is written, so it times exactly the routed work.
+        """
+        path = request.path.split("?", 1)[0]
+        args = (request.method, path, request.body, request.headers)
+        if self.tracer is None or not path.endswith(":predict"):
+            return await self._route(*args)
+        # Front door of the trace: honor an inbound id, echo it on the
+        # response, open the root request span.
+        trace = self.tracer.trace(request.headers.get(TRACE_HEADER))
+        request.response_headers["X-Trace-Id"] = trace.trace_id
+        root_span = self.tracer.start_span(
+            trace, "request", root=True,
+            method=request.method, path=path, shard=self.shard_index,
+        )
+        status = 500
+        try:
+            status, payload = await self._route(*args, trace=trace)
+        except HttpError as exc:
+            status = exc.status
+            raise
+        finally:
+            root_span.finish(
+                status="ok" if status < 400 else f"http_{status}",
+                http_status=status,
+            )
+            self._apply_exemplar_policy(trace, status)
+        return status, payload
+
     async def _route(self, method: str, path: str, body: bytes, headers=None,
                      trace=None):
         path = path.split("?", 1)[0]
@@ -950,7 +661,7 @@ class NBSMTServer:
                 return 503, {
                     "status": "draining",
                     "endpoints": sorted(self.batchers),
-                    "active_requests": self._active_requests,
+                    "active_requests": self.http.active_requests,
                 }
             replica_health = self.pool.replica_health()
             degraded = sorted(
@@ -972,45 +683,25 @@ class NBSMTServer:
             return 200, payload
         if path == "/v1/models":
             if method != "GET":
-                raise _HttpError(405, "use GET")
+                raise HttpError(405, "use GET")
             return 200, {"models": self.registry.describe()}
-        if path in ("/dashboard", "/dashboard/"):
-            if method != "GET":
-                raise _HttpError(405, "use GET")
-            return 200, _RawBody(
-                DASHBOARD_HTML.encode("utf-8"), "text/html; charset=utf-8"
-            )
-        if path == "/v1/telemetry":
-            if method != "GET":
-                raise _HttpError(405, "use GET")
-            snapshot = self.relay.snapshot()
-            if self.alert_engine is not None:
-                # The aggregator's "alerts" key is the event-derived view
-                # (any relay has it); the engine view adds rules + state.
-                snapshot["alerts_engine"] = self.alert_engine.snapshot()
-            if self.tracer is not None:
-                snapshot["tracing"] = self.tracer.snapshot()
-            return 200, snapshot
-        if path == "/v1/traces" or path.startswith("/v1/traces/"):
-            if method != "GET":
-                raise _HttpError(405, "use GET")
-            if path in ("/v1/traces", "/v1/traces/"):
-                return 200, {"traces": self.relay.trace_summaries()}
-            trace_id = path[len("/v1/traces/"):]
-            spans = self.relay.trace_spans(trace_id)
-            if not spans:
-                raise _HttpError(404, f"unknown trace {trace_id!r}")
-            return 200, {"trace_id": trace_id, "spans": spans}
+        response = telemetry_route(
+            self.relay, method, path,
+            stopped=lambda: self._stopped or self._draining,
+            snapshot=self._telemetry_snapshot,
+        )
+        if response is not None:
+            return response
         if path == "/v1/history":
             if method != "GET":
-                raise _HttpError(405, "use GET")
+                raise HttpError(405, "use GET")
             if self.history is None:
                 return 200, {"events": []}
             loop = asyncio.get_running_loop()
             return 200, await loop.run_in_executor(None, self._history_strip)
         if path == "/v1/metrics":
             if method != "GET":
-                raise _HttpError(405, "use GET")
+                raise HttpError(405, "use GET")
             if self.shard_exchange is not None:
                 loop = asyncio.get_running_loop()
                 return 200, await loop.run_in_executor(
@@ -1022,23 +713,27 @@ class NBSMTServer:
             return await self._operating_point(method, name, body)
         if path.startswith("/v1/models/") and path.endswith(":predict"):
             if method != "POST":
-                raise _HttpError(405, "use POST")
+                raise HttpError(405, "use POST")
             name = path[len("/v1/models/") : -len(":predict")]
             return await self._predict(name, body, headers, trace=trace)
-        raise _HttpError(404, f"no route for {method} {path}")
+        raise HttpError(404, f"no route for {method} {path}")
 
     def connection_stats(self) -> dict:
         """Socket-hardening counters (surfaced by ``/healthz``)."""
         return {
-            "open": len(self._connections),
-            "max": self.max_connections,
-            "active_requests": self._active_requests,
-            "evicted": self.evicted_connections,
-            "refused": self.refused_connections,
-            "timed_out_reads": self.timed_out_reads,
-            "timed_out_writes": self.timed_out_writes,
+            **self.http.connection_stats(),
             "idempotent_replays": self.idempotent_replays,
         }
+
+    def _telemetry_snapshot(self) -> dict:
+        snapshot = self.relay.snapshot()
+        if self.alert_engine is not None:
+            # The aggregator's "alerts" key is the event-derived view
+            # (any relay has it); the engine view adds rules + state.
+            snapshot["alerts_engine"] = self.alert_engine.snapshot()
+        if self.tracer is not None:
+            snapshot["tracing"] = self.tracer.snapshot()
+        return snapshot
 
     def _history_strip(self) -> dict:
         """Persisted-history replay (the dashboard's timeline strip).
@@ -1075,10 +770,10 @@ class NBSMTServer:
         try:
             self.registry.get(name)
         except KeyError as exc:
-            raise _HttpError(404, str(exc)) from None
+            raise HttpError(404, str(exc)) from None
         governor = self.governors.get(name)
         if governor is None:
-            raise _HttpError(503, f"endpoint {name!r} is still warming up")
+            raise HttpError(503, f"endpoint {name!r} is still warming up")
         if method == "GET":
             pass
         elif method == "POST":
@@ -1093,9 +788,9 @@ class NBSMTServer:
                 if hold is not None:
                     hold = bool(hold)
             except (ValueError, TypeError) as exc:
-                raise _HttpError(400, f"bad request body: {exc!r}") from None
+                raise HttpError(400, f"bad request body: {exc!r}") from None
             if level is None and hold is None:
-                raise _HttpError(400, 'body must set "level" and/or "hold"')
+                raise HttpError(400, 'body must set "level" and/or "hold"')
             loop = asyncio.get_running_loop()
             try:
                 if level is None and hold is False:
@@ -1111,9 +806,9 @@ class NBSMTServer:
                         None, governor.force, level, hold
                     )
             except ValueError as exc:
-                raise _HttpError(400, str(exc)) from None
+                raise HttpError(400, str(exc)) from None
         else:
-            raise _HttpError(405, "use GET or POST")
+            raise HttpError(405, "use GET or POST")
         ladder = self.pool.ladder(name)
         level = self.pool.current_level(name)
         return 200, {
@@ -1147,7 +842,7 @@ class NBSMTServer:
         else:
             self.tracer.discard(trace)
 
-    def _shed_error(self, name: str, spec, message: str) -> _HttpError:
+    def _shed_error(self, name: str, spec, message: str) -> HttpError:
         """A 429 priced at the rung the retried request should expect.
 
         ``expected_rung`` is the rung the endpoint currently serves at --
@@ -1162,7 +857,7 @@ class NBSMTServer:
             point = self.pool.current_point(name).describe()
         except Exception:  # noqa: BLE001 - endpoint still warming up
             expected, point = 0, None
-        return _HttpError(
+        return HttpError(
             429,
             message,
             extra={
@@ -1200,12 +895,12 @@ class NBSMTServer:
             return status, payload
         future = asyncio.get_running_loop().create_future()
         self._idempotency[key] = future
-        error: _HttpError | None = None
+        error: HttpError | None = None
         try:
             status, payload = await self._predict_once(
                 name, body, headers, trace=trace
             )
-        except _HttpError as exc:
+        except HttpError as exc:
             error = exc
             status, payload = exc.status, exc.body()
         except BaseException:
@@ -1226,9 +921,9 @@ class NBSMTServer:
             raise error
         return status, payload
 
-    def _deadline_error(self, deadline: Deadline) -> _HttpError:
+    def _deadline_error(self, deadline: Deadline) -> HttpError:
         late_ms = max(0.0, -deadline.remaining_ms(self.clock))
-        return _HttpError(
+        return HttpError(
             504,
             "deadline_exceeded",
             extra={"late_by_ms": late_ms},
@@ -1237,20 +932,20 @@ class NBSMTServer:
     async def _predict_once(self, name: str, body: bytes, headers=None,
                             trace=None):
         if self._stopped or self._draining:
-            raise _HttpError(503, "server is draining")
+            raise HttpError(503, "server is draining")
         try:
             spec = self.registry.get(name)
         except KeyError as exc:
-            raise _HttpError(404, str(exc)) from None
+            raise HttpError(404, str(exc)) from None
         try:
             payload = json.loads(body.decode("utf-8"))
             inputs = np.asarray(payload["inputs"], dtype=np.float32)
         except (ValueError, KeyError, TypeError) as exc:
-            raise _HttpError(400, f"bad request body: {exc!r}") from None
+            raise HttpError(400, f"bad request body: {exc!r}") from None
         try:
             budget_ms = parse_deadline_ms(headers, payload)
         except ValueError as exc:
-            raise _HttpError(400, str(exc)) from None
+            raise HttpError(400, str(exc)) from None
         if budget_ms is None and spec.default_deadline_ms > 0:
             budget_ms = spec.default_deadline_ms
         deadline = (
@@ -1261,7 +956,7 @@ class NBSMTServer:
         if inputs.ndim == 3:
             inputs = inputs[np.newaxis]
         if inputs.ndim != 4 or inputs.shape[0] == 0:
-            raise _HttpError(
+            raise HttpError(
                 400, f"inputs must be (C,H,W) or (B,C,H,W); got {inputs.shape}"
             )
         # Validate the per-image shape up front: a mismatched request must
@@ -1269,7 +964,7 @@ class NBSMTServer:
         # coalesced into.
         expected = self.pool.input_shape(name)
         if tuple(inputs.shape[1:]) != expected:
-            raise _HttpError(
+            raise HttpError(
                 400,
                 f"endpoint {name!r} expects images of shape {expected}; "
                 f"got {tuple(inputs.shape[1:])}",

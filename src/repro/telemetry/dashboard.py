@@ -1,14 +1,15 @@
 """SSE event streaming and the zero-dependency HTML dashboard.
 
-Two surfaces share the machinery here:
+Two surfaces mount the same :func:`telemetry_route` (``/dashboard``,
+``/v1/events`` SSE, ``/v1/telemetry``, ``/v1/traces``), both on the one
+hardened HTTP core, :class:`repro.utils.httpcore.HttpCore`:
 
-* The serving front-end (:mod:`repro.serve.server`) mounts ``/v1/events``
-  (``text/event-stream``) and ``/dashboard`` on its existing asyncio HTTP
-  server, relaying the process-local telemetry bus plus -- when sharded --
-  every peer shard's event spool.
-* ``repro.cli dash`` runs the standalone :class:`DashboardServer` against
-  a spool *directory* (a live sweep's or a sharded service's), so sweeps
-  get a dashboard without any serving stack at all.
+* The serving front-end (:mod:`repro.serve.server`), relaying the
+  process-local telemetry bus plus -- when sharded -- every peer shard's
+  event spool.
+* ``repro.cli dash``'s standalone :class:`DashboardServer` over a spool
+  *directory* (a live sweep's or a sharded service's), so sweeps get a
+  dashboard without any serving stack at all.
 
 An :class:`EventRelay` is the common core: it merges the local bus with a
 :class:`~repro.telemetry.bus.SpoolFollower` (skipping the process's own
@@ -36,6 +37,7 @@ import time
 from repro.cluster.documents import DocumentStore
 from repro.telemetry.bus import SpoolFollower, TelemetryBus, get_bus
 from repro.telemetry.timeseries import TelemetryAggregator
+from repro.utils.httpcore import Handoff, HttpCore, HttpError, RawBody
 
 
 def format_sse(event_type: str, payload: dict) -> bytes:
@@ -213,19 +215,16 @@ async def stream_sse(
     *,
     stopped=lambda: False,
     keepalive_s: float = 10.0,
-    max_events: int | None = None,
 ) -> None:
     """Serve one ``/v1/events`` connection until the client goes away.
 
     Opens with a ``snapshot`` frame, then streams every relayed event as
     an SSE frame named by its type; quiet periods emit comment keepalives
     so proxies and clients can tell a silent stream from a dead one.
-    ``max_events`` bounds the stream (tests); ``stopped`` lets the owning
-    server end streams on shutdown.
+    ``stopped`` lets the owning server end streams on shutdown.
     """
     subscription = relay.subscribe(maxlen=1024)
     loop = asyncio.get_running_loop()
-    sent = 0
     try:
         writer.write(_SSE_HEAD)
         writer.write(format_sse("snapshot", relay.snapshot()))
@@ -247,9 +246,6 @@ async def stream_sse(
             writer.write(format_sse(event.type, event.describe()))
             await writer.drain()
             last_write = time.monotonic()
-            sent += 1
-            if max_events is not None and sent >= max_events:
-                break
     except (ConnectionResetError, BrokenPipeError, OSError):
         pass
     finally:
@@ -691,13 +687,49 @@ setInterval(refreshHistory, 5000);
 """
 
 
+_DASHBOARD_PAGE = DASHBOARD_HTML.encode("utf-8")
+
+_TELEMETRY_PATHS = frozenset({
+    "/", "/dashboard", "/dashboard/", "/v1/events", "/v1/telemetry",
+    "/v1/traces",
+})
+
+
+def telemetry_route(relay: EventRelay, method: str, path: str, *,
+                    stopped, snapshot=None):
+    """The telemetry routes both HTTP front-ends mount; ``None`` off them.
+
+    ``path`` carries no query string; ``snapshot()`` (default: the
+    relay's) answers ``/v1/telemetry``; ``stopped()`` ends SSE streams.
+    """
+    if path not in _TELEMETRY_PATHS and not path.startswith("/v1/traces/"):
+        return None
+    if method != "GET":
+        raise HttpError(405, "use GET")
+    if path == "/v1/events":
+        return Handoff(
+            lambda writer: stream_sse(writer, relay, stopped=stopped)
+        )
+    if path == "/v1/telemetry":
+        return 200, (snapshot or relay.snapshot)()
+    if path in ("/v1/traces", "/v1/traces/"):
+        return 200, {"traces": relay.trace_summaries()}
+    if path.startswith("/v1/traces/"):
+        trace_id = path[len("/v1/traces/"):]
+        spans = relay.trace_spans(trace_id)
+        if not spans:
+            raise HttpError(404, f"unknown trace {trace_id!r}")
+        return 200, {"trace_id": trace_id, "spans": spans}
+    return 200, RawBody(_DASHBOARD_PAGE, "text/html; charset=utf-8")
+
+
 class DashboardServer:
     """Standalone dashboard over a telemetry spool directory.
 
-    ``repro.cli dash --dir <spool>`` serves ``/dashboard`` (the HTML page),
-    ``/v1/events`` (SSE) and ``/v1/telemetry`` (the aggregator snapshot)
-    from whatever events appear in the directory -- a running sweep's
-    spool, a sharded service's, or both if they share one directory.
+    ``repro.cli dash --dir <spool>`` serves :func:`telemetry_route` plus
+    ``/healthz``, with the HTTP core's default limits, from whatever
+    events appear in the directory -- a running sweep's spool, a sharded
+    service's, or both if they share one directory.
     """
 
     def __init__(
@@ -712,19 +744,14 @@ class DashboardServer:
         self.host = host
         self.port = port
         self.poll_s = float(poll_s)
-        self._server: asyncio.AbstractServer | None = None
+        self.http = HttpCore(self._route)
         self._stopped = False
-        self._tasks: list[asyncio.Task] = []
+        self._poll: asyncio.Task | None = None
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        self.port = await self.http.listen(self.host, self.port)
         if self.relay.follower is not None:
-            self._tasks.append(asyncio.create_task(self._poll_loop()))
+            self._poll = asyncio.create_task(self._poll_loop())
 
     async def _poll_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -732,97 +759,24 @@ class DashboardServer:
             await loop.run_in_executor(None, self.relay.poll)
             await asyncio.sleep(self.poll_s)
 
+    async def _route(self, request):
+        path = request.path.split("?", 1)[0]
+        response = telemetry_route(
+            self.relay, request.method, path, stopped=lambda: self._stopped
+        )
+        if response is not None:
+            return response
+        if path == "/healthz":
+            return 200, {"status": "ok"}
+        raise HttpError(404, f"no route for {request.method} {path}")
+
     async def stop(self) -> None:
         self._stopped = True
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        if self._poll is not None:
+            self._poll.cancel()
+            await asyncio.gather(self._poll, return_exceptions=True)
+        await self.http.close()
         self.relay.close()
-
-    async def _handle(self, reader, writer) -> None:
-        try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            try:
-                method, path, _ = request_line.decode("ascii").split(None, 2)
-            except ValueError:
-                return
-            while True:  # drain headers
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            path = path.split("?", 1)[0]
-            if method.upper() != "GET":
-                await self._respond(writer, 405, b"use GET", "text/plain")
-            elif path == "/v1/events":
-                await stream_sse(
-                    writer, self.relay, stopped=lambda: self._stopped
-                )
-            elif path in ("/", "/dashboard"):
-                await self._respond(
-                    writer, 200, DASHBOARD_HTML.encode("utf-8"),
-                    "text/html; charset=utf-8",
-                )
-            elif path == "/v1/telemetry":
-                body = json.dumps(self.relay.snapshot()).encode("utf-8")
-                await self._respond(writer, 200, body, "application/json")
-            elif path == "/v1/traces":
-                body = json.dumps(
-                    {"traces": self.relay.trace_summaries()}
-                ).encode("utf-8")
-                await self._respond(writer, 200, body, "application/json")
-            elif path.startswith("/v1/traces/"):
-                trace_id = path.rsplit("/", 1)[1]
-                spans = self.relay.trace_spans(trace_id)
-                if not spans:
-                    await self._respond(
-                        writer, 404, b'{"error":"unknown trace"}',
-                        "application/json",
-                    )
-                else:
-                    body = json.dumps(
-                        {"trace_id": trace_id, "spans": spans}
-                    ).encode("utf-8")
-                    await self._respond(writer, 200, body, "application/json")
-            elif path == "/healthz":
-                await self._respond(
-                    writer, 200, b'{"status":"ok"}', "application/json"
-                )
-            else:
-                await self._respond(writer, 404, b"not found", "text/plain")
-        except (ConnectionResetError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, OSError):  # pragma: no cover
-                pass
-
-    async def _respond(
-        self, writer, status: int, body: bytes, content_type: str
-    ) -> None:
-        reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}.get(
-            status, "OK"
-        )
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("ascii")
-        )
-        writer.write(body)
-        await writer.drain()
 
     async def serve_forever(self) -> None:
         await self.start()

@@ -204,13 +204,13 @@ def _route(server, method, path, body=b"", headers=None):
 def test_route_rejects_malformed_and_nonpositive_deadlines(
     deadline_server, tiny_harness
 ):
-    from repro.serve.server import _HttpError
+    from repro.utils.httpcore import HttpError
 
     body = json.dumps(
         {"inputs": tiny_harness.eval_images[:1].tolist()}
     ).encode()
     for bad in ("soon", "0", "-3"):
-        with pytest.raises(_HttpError) as excinfo:
+        with pytest.raises(HttpError) as excinfo:
             _route(
                 deadline_server,
                 "POST",
@@ -224,13 +224,13 @@ def test_route_rejects_malformed_and_nonpositive_deadlines(
 def test_route_refuses_dead_on_arrival_with_504_and_counters(
     deadline_server, tiny_harness
 ):
-    from repro.serve.server import _HttpError
+    from repro.utils.httpcore import HttpError
 
     body = json.dumps(
         {"inputs": tiny_harness.eval_images[:2].tolist()}
     ).encode()
     admission = deadline_server.registry.admission("tinynet")
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         _route(
             deadline_server,
             "POST",
@@ -255,7 +255,7 @@ def test_route_refuses_dead_on_arrival_with_504_and_counters(
             "deadline_ms": 10,
         }
     ).encode()
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         _route(deadline_server, "POST", "/v1/models/tinynet:predict", body)
     assert excinfo.value.status == 504
     assert admission.expired_arrivals == 3
@@ -264,7 +264,8 @@ def test_route_refuses_dead_on_arrival_with_504_and_counters(
 def test_default_deadline_comes_from_the_spec(tiny_harness, tiny_provider):
     from repro.serve.pool import EnginePool
     from repro.serve.registry import ModelSpec, ServeRegistry
-    from repro.serve.server import NBSMTServer, _HttpError
+    from repro.serve.server import NBSMTServer
+    from repro.utils.httpcore import HttpError
 
     registry = ServeRegistry()
     registry.register(
@@ -285,7 +286,7 @@ def test_default_deadline_comes_from_the_spec(tiny_harness, tiny_provider):
         body = json.dumps(
             {"inputs": tiny_harness.eval_images[:1].tolist()}
         ).encode()
-        with pytest.raises(_HttpError) as excinfo:
+        with pytest.raises(HttpError) as excinfo:
             _route(server, "POST", "/v1/models/tinynet:predict", body)
         assert excinfo.value.status == 504
         assert registry.get("tinynet").default_deadline_ms == 10.0
@@ -311,7 +312,7 @@ def test_draining_flips_healthz_and_refuses_new_work(
     """The drain contract for rolling restarts: /healthz answers 503
     ``draining`` (out of LB rotation) and new predicts are refused while
     in-flight work finishes."""
-    from repro.serve.server import _HttpError
+    from repro.utils.httpcore import HttpError
 
     deadline_server._draining = True
     try:
@@ -321,7 +322,7 @@ def test_draining_flips_healthz_and_refuses_new_work(
         body = json.dumps(
             {"inputs": tiny_harness.eval_images[:1].tolist()}
         ).encode()
-        with pytest.raises(_HttpError) as excinfo:
+        with pytest.raises(HttpError) as excinfo:
             _route(deadline_server, "POST", "/v1/models/tinynet:predict", body)
         assert excinfo.value.status == 503
         assert "draining" in excinfo.value.message

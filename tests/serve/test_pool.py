@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import NBSMTEngine
 from repro.eval.parallel import fork_available
 from repro.eval.throttle import throttle_assignment
 from repro.serve import pool as pool_module
+from repro.serve.batcher import DynamicBatcher
 from repro.serve.pool import EnginePool, ForkedReplica, InlineReplica
 from repro.serve.registry import ModelSpec, ServeRegistry
+from repro.telemetry.tracing import Tracer
 from tests.conftest import SteppedWallClock
 
 
@@ -58,6 +61,43 @@ def test_engine_trace_duration_ignores_wall_clock_steps(
     replica.close()
     assert trace["engine"]["start"] == 1_000_000.0
     assert 0.0 <= trace["engine"]["duration_s"] < 60.0
+
+
+def test_capped_engine_reports_dropped_layer_times(
+    tiny_harness, tiny_provider, monkeypatch
+):
+    """Layer timings past the engine's cap are counted in the carrier and
+    on the ``engine_compute`` span, not silently missing."""
+    registry = ServeRegistry()
+    spec = registry.register(tiny_spec())
+    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    images = tiny_harness.eval_images[:2]
+    uncapped: dict = {}
+    pool.replica_set(spec.name).infer_ex(images, trace=uncapped)
+    layers = len(uncapped["engine"]["layers"])
+    assert layers >= 2 and uncapped["engine"]["layers_dropped"] == 0
+
+    monkeypatch.setattr(engine_module, "_MAX_LAYER_TIMES", 1)
+    capped: dict = {}
+    pool.replica_set(spec.name).infer_ex(images, trace=capped)
+    assert len(capped["engine"]["layers"]) == 1
+    assert capped["engine"]["layers_dropped"] == layers - 1
+
+    spans: list[dict] = []
+    tracer = Tracer(publish=lambda _type, **span: spans.append(span),
+                    sample_rate=1.0)
+    batcher = DynamicBatcher(
+        pool.runner_for(spec.name), max_batch=4, max_wait=0.001,
+        tracer=tracer, name="capped",
+    )
+    try:
+        batcher.submit(images, size=2, trace=tracer.trace()).result(timeout=60)
+    finally:
+        batcher.close()
+        pool.close()
+    (engine_span,) = [s for s in spans if s["name"] == "engine_compute"]
+    assert engine_span["layers_dropped"] == layers - 1
+    assert sum(s["name"].startswith("layer:") for s in spans) == 1
 
 
 def test_throttled_spec_uses_throttle_assignment(tiny_harness, tiny_provider):

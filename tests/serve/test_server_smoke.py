@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.serve.registry import ModelSpec, ServeRegistry
-from repro.serve.server import NBSMTServer, _HttpError
+from repro.serve.server import NBSMTServer
+from repro.utils.httpcore import HttpError
 
 
 @pytest.fixture
@@ -93,21 +94,21 @@ def test_smoke_predict_roundtrip_matches_direct_engine(
 
 
 def test_smoke_errors_and_admission(smoke_server, tiny_harness):
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(smoke_server, "GET", "/v1/nope")
     assert excinfo.value.status == 404
 
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(smoke_server, "POST", "/v1/models/ghost:predict", b"{}")
     assert excinfo.value.status == 404
 
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(smoke_server, "POST", "/v1/models/tinynet:predict", b"{]")
     assert excinfo.value.status == 400
 
     wrong = np.zeros((1, 3, 4, 4), dtype=np.float32)
     body = json.dumps({"inputs": wrong.tolist()}).encode()
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(smoke_server, "POST", "/v1/models/tinynet:predict", body)
     assert excinfo.value.status == 400
     assert "expects images of shape" in excinfo.value.message
@@ -116,7 +117,7 @@ def test_smoke_errors_and_admission(smoke_server, tiny_harness):
     assert admission.try_admit(32)
     image = tiny_harness.eval_images[:1]
     body = json.dumps({"inputs": image.tolist()}).encode()
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(smoke_server, "POST", "/v1/models/tinynet:predict", body)
     assert excinfo.value.status == 429
     admission.release(32)
@@ -181,7 +182,7 @@ def test_smoke_operating_point_inspect_and_override(smoke_server, tiny_harness):
 
     # A non-integer level or a non-object body is a client error, not a 500.
     for bad_body in (json.dumps({"level": [1]}), "2", "null", "[1]"):
-        with pytest.raises(_HttpError) as excinfo:
+        with pytest.raises(HttpError) as excinfo:
             route(
                 smoke_server,
                 "POST",
@@ -190,7 +191,7 @@ def test_smoke_operating_point_inspect_and_override(smoke_server, tiny_harness):
             )
         assert excinfo.value.status == 400
 
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(
             smoke_server,
             "POST",
@@ -199,6 +200,36 @@ def test_smoke_operating_point_inspect_and_override(smoke_server, tiny_harness):
         )
     assert excinfo.value.status == 400
 
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(smoke_server, "GET", "/v1/models/ghost/operating_point")
     assert excinfo.value.status == 404
+
+
+def test_idempotency_keys_keep_their_case(smoke_server, tiny_harness):
+    """``Order-A`` and ``order-a`` are two keys: the second request must run
+    on its own inputs, not replay the first one's response."""
+    images = tiny_harness.eval_images[:2]
+
+    async def main():
+        responses = []
+        for key, image in (("Order-A", images[0]), ("order-a", images[1])):
+            body = json.dumps({"inputs": image.tolist()}).encode()
+            raw = (
+                f"POST /v1/models/tinynet:predict HTTP/1.1\r\n"
+                f"X-Idempotency-Key: {key}\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode() + body
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            request = await smoke_server.http.read_request(reader)
+            responses.append(await smoke_server._predict(
+                "tinynet", request.body, request.headers
+            ))
+        return responses
+
+    (status_a, first), (status_b, second) = asyncio.run(main())
+    assert status_a == status_b == 200
+    assert "idempotent_replay" not in second
+    assert first["outputs"] != second["outputs"]
+    assert smoke_server.idempotent_replays == 0

@@ -14,8 +14,9 @@ import pytest
 
 from repro.serve.pool import EnginePool
 from repro.serve.registry import ModelSpec, ServeRegistry
-from repro.serve.server import NBSMTServer, _HttpError, _RawBody
+from repro.serve.server import NBSMTServer
 from repro.telemetry import bus as telemetry_bus
+from repro.utils.httpcore import HttpError, RawBody
 
 
 def make_spec(**overrides):
@@ -56,7 +57,7 @@ def route(server, method, path, body=b""):
 def test_dashboard_and_telemetry_routes(telemetry_server):
     status, payload = route(telemetry_server, "GET", "/dashboard")
     assert status == 200
-    assert isinstance(payload, _RawBody)
+    assert isinstance(payload, RawBody)
     assert payload.content_type.startswith("text/html")
     assert b"repro telemetry" in payload.body
 
@@ -64,7 +65,7 @@ def test_dashboard_and_telemetry_routes(telemetry_server):
     assert status == 200
     assert "sweep" in snapshot and "endpoints" in snapshot
 
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(telemetry_server, "POST", "/dashboard")
     assert excinfo.value.status == 405
 
@@ -108,7 +109,7 @@ def test_429_reports_expected_rung_and_retry_after(
     assert admission.try_admit(32)  # exhaust the budget
     image = tiny_harness.eval_images[:1]
     body = json.dumps({"inputs": image.tolist()}).encode()
-    with pytest.raises(_HttpError) as excinfo:
+    with pytest.raises(HttpError) as excinfo:
         route(telemetry_server, "POST", "/v1/models/tinynet:predict", body)
     error = excinfo.value
     assert error.status == 429

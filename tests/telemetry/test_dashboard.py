@@ -7,6 +7,7 @@ real localhost sockets and live in the opt-in ``serve`` lane.
 
 import asyncio
 import json
+import socket
 import urllib.request
 
 import pytest
@@ -172,6 +173,22 @@ def test_dashboard_server_sse_stream(tmp_path):
 
     _run_dash(str(tmp_path), actions)
     writer.detach_spool()
+
+
+@pytest.mark.serve
+def test_dashboard_server_enforces_the_header_cap(tmp_path):
+    """The dashboard runs on the hardened core: >32 KiB of headers is 431."""
+
+    def actions(port):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"GET /dashboard HTTP/1.1\r\nHost: x\r\nX-Big: "
+                + b"a" * (40 * 1024) + b"\r\n\r\n"
+            )
+            return sock.makefile("rb").readline()
+
+    status_line = _run_dash(str(tmp_path), actions)
+    assert status_line.split()[1] == b"431"
 
 
 def test_relay_corruption_counts_survive_restart(tmp_path):
