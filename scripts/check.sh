@@ -31,8 +31,11 @@
 #   scripts/check.sh --soak-long     # soak with the trend profile: RSS and
 #                                    # spool growth sampled and asserted
 #                                    # bounded, network+disk faults on
-#   scripts/check.sh --perf-smoke    # compileall + a 2 s smoke run of the
-#                                    # eval-4t benchmark on the real engine;
+#   scripts/check.sh --perf-smoke    # compileall + every engine oracle:
+#                                    # all of tests/core (chunked reference
+#                                    # and the slow per-PE property tests),
+#                                    # then a 2 s smoke run of the eval-4t
+#                                    # benchmark on the real engine, which
 #                                    # fails unless its chunked-reference
 #                                    # oracle check reports "correct": true
 #   scripts/check.sh -m slow         # compileall + the slow lane
@@ -90,6 +93,7 @@ elif [[ "${1:-}" == "--soak-long" ]]; then
     python -m repro.chaos.soak --long "$@"
 elif [[ "${1:-}" == "--perf-smoke" ]]; then
     shift
+    python -m pytest -q -m "" tests/core
     # The benchmark's last stdout line is its JSON result; "correct" covers
     # the bit-exact comparison against NBSMTEngine(force_reference=True).
     result="$(python3 perfbench/run.py --workload eval-4t --seed 1 --smoke \

@@ -141,7 +141,7 @@ def act_reduction_delta(x: np.ndarray, policy: PackingPolicy) -> np.ndarray:
     """
     x = np.asarray(x)
     if x.dtype.kind in "iu":
-        return _DELTA_LUTS[("act", policy.width_primary)].take(np.clip(x, 0, 255))
+        return _DELTA_LUTS[("act", policy.width_primary)].take(x, mode="clip")
     x = x.astype(np.int64)
     delta = reduce_act_to_4bit_msb(x) - x
     if policy.width_primary:
@@ -154,7 +154,7 @@ def wgt_reduction_delta(w: np.ndarray, policy: PackingPolicy) -> np.ndarray:
     w = np.asarray(w)
     if w.dtype.kind in "iu":
         return _DELTA_LUTS[("wgt", policy.width_primary)].take(
-            np.clip(w, -128, 127) + 128
+            w + 128, mode="clip"
         )
     w = w.astype(np.int64)
     delta = reduce_wgt_to_4bit_msb(w) - w

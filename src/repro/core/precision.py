@@ -66,7 +66,7 @@ def reduce_act_to_4bit_msb(x: np.ndarray | int) -> np.ndarray:
     """
     x = np.asarray(x)
     if x.dtype.kind in "iu":
-        return _ACT_REDUCE_LUT.take(np.clip(x, 0, 255))
+        return _ACT_REDUCE_LUT.take(x, mode="clip")
     reduced = _round_to_multiple_of_16(x)
     return np.clip(reduced, 0, ACT_REDUCED_MAX)
 
@@ -75,7 +75,7 @@ def reduce_wgt_to_4bit_msb(w: np.ndarray | int) -> np.ndarray:
     """Reduce signed weights to the value their rounded 4-bit MSBs encode."""
     w = np.asarray(w)
     if w.dtype.kind in "iu":
-        return _WGT_REDUCE_LUT.take(np.clip(w, -128, 127) + 128)
+        return _WGT_REDUCE_LUT.take(w + 128, mode="clip")
     reduced = _round_to_multiple_of_16(w)
     return np.clip(reduced, WGT_REDUCED_MIN, WGT_REDUCED_MAX)
 

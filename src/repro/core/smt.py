@@ -39,9 +39,9 @@ from repro.core.policies import PackingPolicy, get_policy
 from repro.core.precision import act_fits_4bit, wgt_fits_4bit
 
 #: Largest product-sum magnitude exactly representable by a float32 GEMM.
+#: (The float64 limit, 2**53, is out of reach: 8-bit operands would need
+#: K above 10**11.)
 _F32_EXACT_LIMIT = 1 << 24
-#: Largest product-sum magnitude exactly representable by a float64 GEMM.
-_F64_EXACT_LIMIT = 1 << 53
 #: Worst-case magnitude of a 4-bit reduction delta.  Rounding alone is
 #: bounded by 8, but clipping at the representable range ends widens it
 #: (255 -> 240, 127 -> 112); derived from the tables so it cannot drift.
@@ -226,21 +226,22 @@ def _as_int64(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.int64 else a.astype(np.int64)
 
 
-def _int_gemm(left: np.ndarray, right: np.ndarray, bound: float) -> np.ndarray:
-    """Exact integer matmul of integer-valued matrices through BLAS.
+def _int_gemm(
+    lefts: list[np.ndarray], rights: list[np.ndarray], bound: float
+) -> np.ndarray:
+    """Exact ``concat(lefts, axis=1) @ concat(rights, axis=0)`` through BLAS.
 
-    ``bound`` is an upper bound on ``sum_k |left[m, k] * right[k, n]|``; it
-    decides the narrowest float dtype whose accumulations stay lossless
-    (every partial sum is an integer below the mantissa limit, so the result
-    is exact regardless of the accumulation order).
+    The operands are 8-bit-ranged integer matrices, concatenated straight
+    into the GEMM dtype.  ``bound`` is an upper bound on
+    ``sum_k |left[m, k] * right[k, n]|``; it decides whether float32
+    accumulations stay lossless (every partial sum is an integer below the
+    mantissa limit, so the result is exact regardless of the accumulation
+    order); float64 covers the rest.
     """
-    if bound < _F32_EXACT_LIMIT:
-        dtype = np.float32
-    elif bound < _F64_EXACT_LIMIT:
-        dtype = np.float64
-    else:  # pragma: no cover - unreachable for 8-bit operands
-        return _as_int64(left) @ _as_int64(right)
-    return np.rint(left.astype(dtype) @ right.astype(dtype)).astype(np.int64)
+    dtype = np.float32 if bound < _F32_EXACT_LIMIT else np.float64
+    left = np.concatenate(lefts, axis=1, dtype=dtype)
+    right = np.concatenate(rights, axis=0, dtype=dtype)
+    return np.rint(left @ right).astype(np.int64)
 
 
 def _exact_matmul(x_q: np.ndarray, w_q: np.ndarray) -> np.ndarray:
@@ -346,7 +347,6 @@ class _ErrorAccumulator:
         """Evaluate all recorded terms; returns the integer error matrix."""
         if not self._terms:
             return np.zeros((self.m, self.n), dtype=np.int64)
-        total: np.ndarray | None = None
         group: list[tuple] = []
         group_bound = 0.0
         groups: list[tuple[list[tuple], type]] = []
@@ -362,14 +362,11 @@ class _ErrorAccumulator:
             group_bound += bound
         if group:
             groups.append((group, np.float32))
+        total = np.zeros((self.m, self.n), dtype=np.float64)
         for members, dtype in groups:
-            partial = self._evaluate_group(members, dtype)
-            if total is None:
-                total = partial.astype(np.float64)
-            else:
-                total += partial
+            total += self._evaluate_group(members, dtype)
         self._terms = []
-        return np.rint(total).astype(np.int64)
+        return np.rint(total, out=total).astype(np.int64)
 
 
 class NBSMTMatmul:
@@ -428,6 +425,17 @@ class NBSMTMatmul:
         """
         x_q = np.asarray(x_q)
         w_q = np.asarray(w_q)
+        x_lo, amax = _value_range(x_q)
+        w_lo, w_hi = _value_range(w_q)
+        if x_lo < 0 or amax > 255:
+            raise ValueError(
+                f"activations must lie in [0, 255], got [{x_lo}, {amax}]"
+            )
+        if w_lo < -128 or w_hi > 127:
+            raise ValueError(
+                f"weights must lie in [-128, 127], got [{w_lo}, {w_hi}]"
+            )
+        wmax = max(-w_lo, w_hi)
         if permutation is not None:
             x_q = x_q[:, permutation]
             w_q = w_q[permutation, :]
@@ -444,9 +452,11 @@ class NBSMTMatmul:
                 x_t, w_t, self.policy, self.collect_stats, self.chunk_rows
             )
         elif self.threads == 2:
-            out, stats = _fast_2t(x_t, w_t, self.policy, self.collect_stats)
+            out, stats = _fast_2t(x_t, w_t, self.policy, self.collect_stats,
+                                  amax, wmax)
         else:
-            out, stats = _fast_4t(x_t, w_t, self.policy, self.collect_stats)
+            out, stats = _fast_4t(x_t, w_t, self.policy, self.collect_stats,
+                                  amax, wmax)
         if self.collect_stats and stats is not None:
             self.stats.merge(stats)
         return out
@@ -473,21 +483,9 @@ def _count_active(x_q: np.ndarray, w_q: np.ndarray) -> int:
     return int(x_nonzero.sum(axis=0) @ w_nonzero.sum(axis=1))
 
 
-def _max_abs(a: np.ndarray) -> int:
-    """Largest magnitude in ``a`` as a Python int (no widened copy)."""
-    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
-
-
-def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
-    """An int16 copy when the values fit (8-bit operands always do).
-
-    The gated-GEMM assembly is memory bound, so 2-byte reads beat the 8-byte
-    int64 defaults; values outside the int16 range (only possible for
-    callers violating the 8-bit operand contract) are left untouched.
-    """
-    if a.dtype == np.int16 or max_abs > 32767:
-        return a
-    return a.astype(np.int16)
+def _value_range(a: np.ndarray) -> tuple[int, int]:
+    """``(min, max)`` of ``a`` widened to include 0, as Python ints."""
+    return int(a.min(initial=0)), int(a.max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +497,21 @@ def _fast_2t(
     w_t: np.ndarray,
     policy: PackingPolicy,
     collect_stats: bool,
+    amax: int,
+    wmax: int,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
-    """Factorized 2-thread execution: exact matmul plus masked-delta matmuls."""
-    amax, wmax = _max_abs(x_t), _max_abs(w_t)
-    x16 = _narrowed(x_t, amax)
-    w16 = _narrowed(w_t, wmax)
-    x1, x2 = x16[0], x16[1]
-    w1, w2 = w16[0], w16[1]
+    """Factorized 2-thread execution: exact matmul plus masked-delta matmuls.
+
+    ``amax`` / ``wmax`` are the largest operand magnitudes.  The operands are
+    narrowed to int16: the gated-GEMM assembly is memory bound, so 2-byte
+    reads beat the int64 defaults.
+    """
+    x1, x2 = x_t.astype(np.int16, copy=False)
+    w1, w2 = w_t.astype(np.int16, copy=False)
     m, kt = x1.shape
     n = w1.shape[1]
 
-    exact = _int_gemm(
-        np.concatenate([x1, x2], axis=1),
-        np.concatenate([w1, w2], axis=0),
-        bound=2.0 * kt * amax * wmax,
-    )
+    exact = _int_gemm([x1, x2], [w1, w2], bound=2.0 * kt * amax * wmax)
 
     act_nonzero_1, act_nonzero_2 = x1 != 0, x2 != 0
     wgt_nonzero_1, wgt_nonzero_2 = w1 != 0, w2 != 0
@@ -608,33 +606,44 @@ def _value_luts(width_primary: bool) -> dict[str, np.ndarray]:
     effective 4b-4b operand is ``value + delta`` and an operand changed iff
     its delta is nonzero.  The deltas keep packing's narrow int8 storage --
     the gated-GEMM assembly is memory bound.
+
+    ``act_code[t]`` is thread ``t``'s share of the 12-bit joint activation
+    code of :func:`_act_histograms`: ``x != 0`` at bit ``t``, ``achg`` (the
+    4b-4b reduction changes ``x``) at bit ``4 + 2t`` and ``afits`` (``x``
+    fits in 4 bits) at bit ``5 + 2t``.
     """
     act = np.arange(256, dtype=np.int64)
-    wgt = np.arange(-128, 128, dtype=np.int64)
     dx = packing._DELTA_LUTS[("act", width_primary)]
     dw = packing._DELTA_LUTS[("wgt", width_primary)]
-    return {
-        "dx": dx,
-        "dw": dw,
-        "achg": dx != 0,
-        "wchg": dw != 0,
-        "afits": act_fits_4bit(act),
-        "wfits": wgt_fits_4bit(wgt),
-    }
+    nonzero = (act != 0).astype(np.int64)
+    achg = (dx != 0).astype(np.int64)
+    afits = act_fits_4bit(act).astype(np.int64)
+    act_code = np.stack([
+        (nonzero << t) | (achg << (4 + 2 * t)) | (afits << (5 + 2 * t))
+        for t in range(4)
+    ]).astype(np.uint16)
+    return {"dx": dx, "dw": dw, "wchg": dw != 0, "act_code": act_code}
 
 
 def _act_lut_take(lut: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return lut.take(np.clip(x, 0, 255))
+    return lut.take(x, mode="clip")
 
 
 def _wgt_lut_take(lut: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return lut.take(np.clip(w, -128, 127) + 128)
+    return lut.take(w + 128, mode="clip")
 
 
 def _popcount4(values: np.ndarray) -> np.ndarray:
     return (values & 1) + ((values >> 1) & 1) + ((values >> 2) & 1) + (
         (values >> 3) & 1
     )
+
+
+@lru_cache(maxsize=None)
+def _superset_table() -> np.ndarray:
+    """16x16 bools: ``[alpha, s]`` says whether ``alpha`` contains ``s``."""
+    patterns = np.arange(16)
+    return (patterns[:, None] & patterns[None, :]) == patterns[None, :]
 
 
 @lru_cache(maxsize=None)
@@ -706,20 +715,63 @@ def _reduced_tables(policy: PackingPolicy) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _side_histograms(codes: np.ndarray, axis: int, num_codes: int) -> np.ndarray:
-    """Histogram the codes of one side per K position: returns ``(Kt, codes)``.
+#: Bin budget of one ``np.bincount`` in :func:`_act_histograms`: the K
+#: columns are counted in chunks of ``_HIST_BINS // bins``, so a short-M,
+#: huge-Kt operand never allocates a Kt x 4096 joint histogram at once.
+_HIST_BINS = 1 << 20
 
-    ``axis`` is the dimension summed over (0 for the ``(M, Kt)`` activation
-    side, 1 for the ``(Kt, N)`` weight side).
+
+def _act_histograms(
+    xs: list[np.ndarray], act_code: np.ndarray, joint: bool
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Per-K-column histograms of the activation side of a 4-thread call.
+
+    Each ``(m, k)`` position gets one code, the OR of four per-thread
+    lookups in ``act_code`` (see :func:`_value_luts`): the 12-bit joint code
+    with ``joint``, else only its low 4 bits, the activity pattern
+    ``alpha``.  One ``np.bincount`` over ``code + bins * k`` counts them,
+    and every histogram the statistics need is a marginal of it:
+
+    * ``hist_alpha`` (``(Kt, 16)``): counts of ``alpha``;
+    * ``hist_a[t]`` (``(Kt, 64)``, only with ``joint``): counts of
+      ``alpha | achg_t << 4 | afits_t << 5``, the activation-side codes of
+      :func:`_reduced_tables`.
     """
-    if axis == 0:
-        kt = codes.shape[1]
-        keys = codes + num_codes * np.arange(kt, dtype=np.int64)[None, :]
-    else:
-        kt = codes.shape[0]
-        keys = codes + num_codes * np.arange(kt, dtype=np.int64)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=num_codes * kt)
-    return counts.reshape(kt, num_codes)
+    bins = 4096 if joint else 16
+    tables = act_code if joint else act_code & 15
+    code = _act_lut_take(tables[0], xs[0])
+    for t in range(1, 4):
+        code |= _act_lut_take(tables[t], xs[t])
+    kt = code.shape[1]
+    hist_alpha = np.empty((kt, 16), dtype=np.int64)
+    hist_a = ([np.empty((kt, 64), dtype=np.int64) for _ in range(4)]
+              if joint else None)
+    step = max(1, _HIST_BINS // bins)
+    for k0 in range(0, kt, step):
+        k1 = min(k0 + step, kt)
+        cols = k1 - k0
+        keys = code[:, k0:k1] + bins * np.arange(cols, dtype=np.int64)
+        counts = np.bincount(keys.ravel(), minlength=bins * cols)
+        if not joint:
+            hist_alpha[k0:k1] = counts.reshape(cols, 16)
+            continue
+        # Axes (column, a3, a2, a1, a0, alpha), a_t = achg_t | afits_t << 1.
+        counts = counts.reshape(cols, 4, 4, 4, 4, 16)
+        low = counts.sum(axis=(1, 2))    # (column, a1, a0, alpha)
+        high = counts.sum(axis=(3, 4))   # (column, a3, a2, alpha)
+        hist_a[0][k0:k1] = low.sum(axis=1).reshape(cols, 64)
+        hist_a[1][k0:k1] = low.sum(axis=2).reshape(cols, 64)
+        hist_a[2][k0:k1] = high.sum(axis=1).reshape(cols, 64)
+        hist_a[3][k0:k1] = high.sum(axis=2).reshape(cols, 64)
+        hist_alpha[k0:k1] = low.sum(axis=(1, 2))
+    return hist_alpha, hist_a
+
+
+def _wgt_histograms(codes: np.ndarray) -> np.ndarray:
+    """Per-K-row histograms of ``(Kt, N)`` 6-bit weight codes: ``(Kt, 64)``."""
+    kt = codes.shape[0]
+    keys = codes + 64 * np.arange(kt, dtype=np.int64)[:, None]
+    return np.bincount(keys.ravel(), minlength=64 * kt).reshape(kt, 64)
 
 
 def _contract(
@@ -734,6 +786,8 @@ def _fast_4t(
     w_t: np.ndarray,
     policy: PackingPolicy,
     collect_stats: bool,
+    amax: int,
+    wmax: int,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """Optimized factorized 4-thread execution.
 
@@ -745,23 +799,19 @@ def _fast_4t(
     factor pair, and :class:`_ErrorAccumulator` evaluates the blocks with a
     few row-tiled BLAS GEMMs whose float dtype is chosen by exactness
     bounds, merging blocks that share a gated left factor.  Statistics are
-    reconstructed exactly from per-K-column histograms of the 4-bit thread
-    activity patterns (see :func:`_reduced_tables`).
+    reconstructed exactly from per-K-column histograms of one joint
+    activation code per position and of per-thread weight codes (see
+    :func:`_act_histograms` and :func:`_reduced_tables`).  ``amax`` /
+    ``wmax`` are the largest operand magnitudes; the operands are narrowed
+    to int16 for the memory-bound assembly.
     """
     threads = 4
-    amax, wmax = _max_abs(x_t), _max_abs(w_t)
-    x16 = _narrowed(x_t, amax)
-    w16 = _narrowed(w_t, wmax)
-    xs = [x16[t] for t in range(threads)]
-    ws = [w16[t] for t in range(threads)]
+    xs = list(x_t.astype(np.int16, copy=False))
+    ws = list(w_t.astype(np.int16, copy=False))
     m, kt = xs[0].shape
     n = ws[0].shape[1]
 
-    exact = _int_gemm(
-        np.concatenate(xs, axis=1),
-        np.concatenate(ws, axis=0),
-        bound=4.0 * kt * amax * wmax,
-    )
+    exact = _int_gemm(xs, ws, bound=4.0 * kt * amax * wmax)
 
     act_masks = [x != 0 for x in xs]
     wgt_masks = [w != 0 for w in ws]
@@ -773,6 +823,11 @@ def _fast_4t(
     # lets the pair term merge with the dx (x) w third of the many term.
     dxs = [_act_lut_take(luts["dx"], x) for x in xs]
     dws = [_wgt_lut_take(luts["dw"], w) for w in ws]
+    # The subset-skip test needs the activity-pattern histogram, the
+    # statistics the joint one; with neither, nothing is counted.
+    if collect_stats or policy.sparsity:
+        hist_alpha, hist_a = _act_histograms(xs, luts["act_code"],
+                                             joint=collect_stats)
 
     accumulator = _ErrorAccumulator(m, n)
     ones_gate = True  # scalar "no gate" for ungated blocks
@@ -807,7 +862,10 @@ def _fast_4t(
 
         # Subset gates: A_S = AND of the act masks, W_S = AND of the wgt
         # masks.  A block gated by (A_S, W_S) contributes nothing when no K
-        # position has both a nonzero A_S column and a nonzero W_S row.
+        # position has both a nonzero A_S column and a nonzero W_S row.  A
+        # column of A_S is nonzero iff one of the activity patterns present
+        # in it contains S.
+        act_cols = (hist_alpha > 0) @ _superset_table()      # (Kt, 16)
         gates: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
             (t,): (act_masks[t], wgt_masks[t]) for t in range(threads)
         }
@@ -822,7 +880,8 @@ def _fast_4t(
         for size in (2, 3, 4):
             for subset in combinations(range(threads), size):
                 gate_a, gate_w = gates[subset]
-                subset_cols = gate_a.any(axis=0) & gate_w.any(axis=1)
+                pattern = sum(1 << t for t in subset)
+                subset_cols = act_cols[:, pattern] & gate_w.any(axis=1)
                 if not subset_cols.any():
                     continue
                 c1, c2 = _SUBSET_COEFFS[size - 1]
@@ -863,36 +922,18 @@ def _fast_4t(
         return out, None
 
     stats = SMTStatistics()
-    alpha = (
-        act_masks[0].astype(np.int64)
-        + 2 * act_masks[1]
-        + 4 * act_masks[2]
-        + 8 * act_masks[3]
-    )
     beta = (
         wgt_masks[0].astype(np.int64)
         + 2 * wgt_masks[1]
         + 4 * wgt_masks[2]
         + 8 * wgt_masks[3]
     )
-    achgs = [_act_lut_take(luts["achg"], x) for x in xs]
     wchgs = [_wgt_lut_take(luts["wchg"], w) for w in ws]
-    hist_a = [
-        _side_histograms(
-            alpha + 16 * achgs[t] + 32 * act_fits_4bit(xs[t]),
-            axis=0, num_codes=64,
-        )
-        for t in range(threads)
-    ]
     hist_b = [
-        _side_histograms(
-            beta + 16 * wchgs[t] + 32 * wgt_fits_4bit(ws[t]),
-            axis=1, num_codes=64,
-        )
+        _wgt_histograms(beta + 16 * wchgs[t] + 32 * wgt_fits_4bit(ws[t]))
         for t in range(threads)
     ]
-    # 16-bin activity histograms, marginalized from the richer 64-bin ones.
-    hist_alpha = hist_a[0].reshape(kt, 4, 16).sum(axis=1)
+    # 16-bin weight activity histogram, marginalized from a 64-bin one.
     hist_beta = hist_b[0].reshape(kt, 4, 16).sum(axis=1)
 
     activity = _activity_tables()
@@ -909,7 +950,7 @@ def _fast_4t(
     stats.slots_total = m * kt * n
     stats.slots_active = _contract(hist_alpha, activity["slots"], hist_beta)
     stats.act_values = int(sum(x.size for x in xs))
-    stats.act_nonzero = int(sum(mask.sum() for mask in act_masks))
+    stats.act_nonzero = int(hist_alpha.sum(axis=0) @ _popcount4(np.arange(16)))
     stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
     stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
     stats.outputs = int(exact.size)

@@ -82,6 +82,10 @@ class BatchReport:
 
 _STOP = object()
 
+#: Per-layer ``layer:*`` children emitted under one ``engine_compute``
+#: span; the rest are counted in the span's ``layers_dropped``.
+_MAX_LAYER_SPANS = 128
+
 
 class DynamicBatcher:
     """Coalesces submitted requests and executes them through ``runner``.
@@ -519,19 +523,22 @@ class DynamicBatcher:
                     pid=respawn.get("pid"),
                 )
             if engine is not None:
+                layers = engine.get("layers", ())
+                # Dropped by the engine's own cap plus truncated here.
+                dropped = engine.get("layers_dropped", 0) + max(
+                    0, len(layers) - _MAX_LAYER_SPANS
+                )
                 engine_payload = tracer.emit(
                     batch_context, "engine_compute",
                     start=engine.get("start", wall_started),
                     duration_s=engine.get("duration_s", 0.0),
                     pid=engine.get("pid"), level=engine.get("level"),
-                    layers_dropped=engine.get("layers_dropped", 0),
+                    layers_dropped=dropped,
                 )
                 engine_context = batch_context.child(
                     engine_payload["span_id"]
                 )
-                for name, layer_start, layer_dur in engine.get(
-                    "layers", ()
-                )[:128]:
+                for name, layer_start, layer_dur in layers[:_MAX_LAYER_SPANS]:
                     tracer.emit(
                         engine_context, f"layer:{name}",
                         start=layer_start, duration_s=layer_dur,

@@ -335,3 +335,152 @@ def test_error_gemm_never_materializes_the_wide_operand(monkeypatch):
     monkeypatch.setattr(smt._ErrorAccumulator, "total", traced_total)
     NBSMTMatmul(4, "S+A").matmul(x, w)
     assert peaks and max(peaks) < 8 * 2**20
+
+
+def test_error_gemm_buffers_stay_bounded_for_wide_n(monkeypatch):
+    # Wide N, narrow Kt: any per-block (M, N) float32 buffer, such as a
+    # partial product kept for all M rows, would add 4 MB per block (44
+    # blocks at 4 threads, 2 at 2 threads).
+    m, k, n = 4096, 16, 256
+    x, w = make_quantized_pair(new_rng(6), m=m, k=k, n=n)
+    peaks = []
+    total = smt._ErrorAccumulator.total
+
+    def traced_total(self):
+        tracemalloc.start()
+        try:
+            return total(self)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(smt._ErrorAccumulator, "total", traced_total)
+    for threads in (2, 4):
+        NBSMTMatmul(threads, "S+A").matmul(x, w)
+    # total() holds a float64 sum plus either the int64 result or one
+    # group's float32 output and its row tile.
+    bound = max(16 * m * n, 12 * m * n + smt._TILE_BYTES) + 2**20
+    assert len(peaks) == 2 and max(peaks) < bound
+
+
+# -- operand contract ------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", ["act-negative", "act-wide", "wgt-low",
+                                 "wgt-high"])
+@pytest.mark.parametrize("threads,reference", [(1, False), (2, False),
+                                               (4, False), (4, True)])
+def test_out_of_contract_operands_raise(threads, reference, bad):
+    # Out-of-range values used to reach the fast paths, whose lookup
+    # tables clip while the nonzero and 4-bit-fit tests do not, so they
+    # silently diverged from the reference.
+    x, w = make_quantized_pair(new_rng(8), m=6, k=8, n=3)
+    if bad == "act-negative":
+        x[2, 3] = -1
+    elif bad == "act-wide":
+        x[0, 0] = 256
+    elif bad == "wgt-low":
+        w[1, 2] = -129
+    else:
+        w[4, 0] = 128
+    executor = NBSMTMatmul(threads, "S+A", force_reference=reference)
+    with pytest.raises(ValueError, match="must lie in"):
+        executor.matmul(x, w)
+    assert executor.stats == SMTStatistics()
+
+
+def test_contract_range_ends_are_accepted():
+    x = np.array([[0, 255, 17, 0]])
+    w = np.array([[-128], [127], [-9], [8]])
+    for threads in (1, 2, 4):
+        fast = NBSMTMatmul(threads, "S+A").matmul(x, w)
+        reference = NBSMTMatmul(threads, "S+A", force_reference=True)
+        assert np.array_equal(fast, reference.matmul(x, w))
+
+
+# -- 4-thread statistics from the joint activation code -------------------------
+
+def _every_act_code_case(width_primary):
+    """Operands in which every column holds every reachable 12-bit code.
+
+    Each row picks one value class per thread (the class is the value's
+    (nonzero, achg, afits) bits), so all class combinations appear in every
+    K column of the four thread slices; the values come from the property
+    tests' boundary values and no column is all zeros.
+    """
+    from tests.core.test_smt_properties import _ACT_SPECIALS, _WGT_SPECIALS
+
+    act_code = smt._value_luts(width_primary)["act_code"]
+    classes: dict[int, list[int]] = {}
+    for value in _ACT_SPECIALS:
+        classes.setdefault(int(act_code[0][value]), []).append(value)
+    members = list(classes.values())
+    rng = new_rng(31)
+    kt, n = 3, 6
+    combos = np.array(np.meshgrid(*[range(len(members))] * 4)).reshape(4, -1).T
+    x = np.empty((len(combos), 4 * kt), dtype=np.int64)
+    for row, combo in enumerate(combos):
+        for t, cls in enumerate(combo):
+            x[row, t * kt:(t + 1) * kt] = rng.choice(members[cls], size=kt)
+    w = rng.choice(_WGT_SPECIALS, size=(4 * kt, n))
+
+    reachable = {
+        int(np.bitwise_or.reduce(
+            [act_code[t][members[cls][0]] for t, cls in enumerate(combo)]))
+        for combo in combos
+    }
+    x_t, _ = split_into_threads(x, w, 4)
+    codes = np.bitwise_or.reduce(
+        [act_code[t].take(x_t[t]) for t in range(4)])
+    return x, w, reachable, codes
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_every_activation_code_matches_reference(policy):
+    width = get_policy(policy).width_primary
+    x, w, reachable, codes = _every_act_code_case(width)
+    for column in codes.T:
+        assert set(column.tolist()) == reachable
+    assert (x.reshape(-1, 4, 3) != 0).any(axis=0).all()  # no zero columns
+    fast = NBSMTMatmul(4, policy)
+    reference = NBSMTMatmul(4, policy, force_reference=True)
+    assert np.array_equal(fast.matmul(x, w), reference.matmul(x, w))
+    assert fast.stats == reference.stats
+
+
+@pytest.mark.parametrize("collect_stats", [True, False])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_chunked_activation_histograms_match_reference(monkeypatch, policy,
+                                                       collect_stats):
+    # Two K columns per np.bincount, joint codes or 4-bit patterns alike:
+    # Kt=7 splits into ragged chunks of 2, 2, 2 and 1 columns.  The thread
+    # slices are empty in different columns, so the per-column subset-skip
+    # test, read from hist_alpha, differs between chunks.
+    bins = 4096 if collect_stats else 16
+    monkeypatch.setattr(smt, "_HIST_BINS", 2 * bins)
+    x, w = make_quantized_pair(new_rng(51), m=40, k=28, n=6, act_sparsity=0.3)
+    for t in range(4):
+        x[:, [7 * t + k for k in range(7) if (k + t) % 3 == 0]] = 0
+    fast = NBSMTMatmul(4, policy, collect_stats=collect_stats)
+    reference = NBSMTMatmul(4, policy, collect_stats=collect_stats,
+                            force_reference=True)
+    assert np.array_equal(fast.matmul(x, w), reference.matmul(x, w))
+    assert fast.stats.as_dict() == reference.stats.as_dict()
+    # A chunk miscounted as busier than it is only costs time, so compare
+    # the histograms themselves with one unchunked count.
+    xs = list(split_into_threads(x, w, 4)[0])
+    act_code = smt._value_luts(get_policy(policy).width_primary)["act_code"]
+    chunked = smt._act_histograms(xs, act_code, joint=collect_stats)
+    monkeypatch.setattr(smt, "_HIST_BINS", 1 << 20)
+    whole = smt._act_histograms(xs, act_code, joint=collect_stats)
+    assert np.array_equal(chunked[0], whole[0])
+    if collect_stats:
+        for chunked_a, whole_a in zip(chunked[1], whole[1], strict=True):
+            assert np.array_equal(chunked_a, whole_a)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_4t_outputs_do_not_depend_on_collect_stats(policy):
+    x, w = make_quantized_pair(new_rng(41), m=64, k=96, n=12, act_sparsity=0.4)
+    with_stats = NBSMTMatmul(4, policy, collect_stats=True).matmul(x, w)
+    without = NBSMTMatmul(4, policy, collect_stats=False).matmul(x, w)
+    assert np.array_equal(with_stats, without)

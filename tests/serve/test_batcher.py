@@ -242,3 +242,31 @@ def test_no_deadline_traffic_is_bit_identical_with_edf_off():
     assert [payload for batch in splits[True] for payload in batch] == list(
         range(len(sizes))
     )
+
+
+def test_engine_span_counts_layer_children_it_truncates():
+    """A 130-layer engine payload yields 128 ``layer:*`` children; the two
+    left out are added to the engine's own dropped count on the span."""
+    from repro.telemetry.tracing import Tracer
+
+    spans: list[dict] = []
+    tracer = Tracer(publish=lambda _type, **span: spans.append(span),
+                    sample_rate=1.0)
+
+    def runner(payloads, trace=None):
+        trace["engine"] = {
+            "start": 1.0, "duration_s": 0.5, "layers_dropped": 3,
+            "layers": [(f"conv{i}", 1.0, 0.001) for i in range(130)],
+        }
+        return payloads
+
+    batcher = DynamicBatcher(runner, max_batch=4, max_wait=0.001,
+                             tracer=tracer, name="wide")
+    try:
+        batcher.submit(1, trace=tracer.trace()).result(timeout=10)
+    finally:
+        batcher.close()
+    (engine_span,) = [s for s in spans if s["name"] == "engine_compute"]
+    assert engine_span["layers_dropped"] == 3 + 2
+    layer_names = [s["name"] for s in spans if s["name"].startswith("layer:")]
+    assert layer_names == [f"layer:conv{i}" for i in range(128)]
