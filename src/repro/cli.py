@@ -212,8 +212,10 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
                 f"{100 * trained.fp32_accuracy:.1f}%",
             )
         )
-    print(format_table(["Model", "Parameters", "FP32 top-1"], rows,
-                       title="Scaled-down model zoo"))
+    print(format_table(["Model", "Parameters", "FP32 top-1 pre-BN-recal."],
+                       rows, title="Scaled-down model zoo"))
+    print("FP32 top-1 is the training-time accuracy on the validation set, "
+          "before the BN recalibration that Table I's FP32 column uses.")
     return 0
 
 

@@ -13,11 +13,12 @@ Two implementations are provided and cross-checked by the test suite:
 * a chunked **reference** path that materializes the per-position activity
   tensors and handles any thread count;
 * a **factorized** fast path for two and four threads, which expresses the
-  NB-SMT noise as extra matrix multiplications of masked deltas (the
-  collision indicator of each thread factors into an activation-side and a
-  weight-side rank-1 term, so the demand-gated error terms expand by
-  inclusion-exclusion into separable blocks that are stacked along the inner
-  dimension and evaluated with a handful of BLAS calls).
+  NB-SMT noise as extra matrix multiplications of masked deltas (with the
+  right side partitioned by the weight-side thread pattern, the demand
+  count at a position is a function of the activations alone, so every
+  demand-gated error term is a separable product of an activation-side and
+  a weight-side block; the blocks are stacked along the inner dimension and
+  evaluated with a handful of BLAS calls).
 
 The factorized paths also reconstruct the *exact* statistics (including the
 per-position reduction count) without materializing activity tensors: every
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -259,27 +259,19 @@ _TILE_BYTES = 1 << 20
 class _ErrorAccumulator:
     """Collects separable error terms and evaluates them with few GEMMs.
 
-    Each term is ``scale * (gate_l * val_l) @ (gate_r * val_r)`` for
-    integer-valued matrices of shapes ``(M, Kt)`` and ``(Kt, N)``.  Terms are
-    only described by :meth:`add`; :meth:`total` partitions them into groups
-    whose cumulative exactness bound fits a float32 GEMM (float64 for
-    oversized single terms) and evaluates each group as one product of a
-    wide left operand and a narrow stacked right operand:
+    Each term is ``(gate_l * val_l) @ (gate_r * val_r)`` for integer-valued
+    matrices of shapes ``(M, B)`` and ``(B, N)``, where ``B`` is Kt or the
+    number of K rows the term is restricted to.  Terms are only described by
+    :meth:`add`; :meth:`total` partitions them into groups whose cumulative
+    exactness bound fits a float32 GEMM (float64 for oversized single terms)
+    and evaluates each group as one product of a wide left operand and a
+    narrow stacked right operand.  The left operand is never materialized:
+    it is assembled in row tiles of about ``_TILE_BYTES`` in one reused
+    buffer, each tile followed by one BLAS call into its rows of the output.
 
-    * terms of a group that share their gated left factor (the same gate
-      and value arrays) become one left block;
-      their right factors are pre-summed into a single ``(Kt, N)`` block;
-    * every ``scale`` is folded into the right factor, so no left block is
-      ever rescaled;
-    * the left operand is never materialized: it is assembled in row tiles
-      of about ``_TILE_BYTES`` in one reused buffer, each tile followed by
-      one BLAS call into its rows of the output.
-
-    All of this is bit-exact.  A merged right block ``sum_i c_i * (g_i * v_i)``
-    holds small integers, and its product-sum magnitude is at most the sum
-    of the merged terms' bounds, so every partial sum of a group's product
-    is still an integer below the float mantissa limit: the result is exact
-    in any accumulation order and for any row split.
+    This is bit-exact: every partial sum of a group's product is an integer
+    below the float mantissa limit, so the result is exact in any
+    accumulation order and for any row split.
     """
 
     def __init__(self, m: int, n: int):
@@ -294,35 +286,18 @@ class _ErrorAccumulator:
         gate_right: np.ndarray | bool,
         values_right: np.ndarray,
         bound: float,
-        scale: float = 1.0,
     ) -> None:
         """Record the term; ``bound`` upper-bounds its product-sum magnitude."""
         self._terms.append(
-            (gate_left, values_left, gate_right, values_right, bound, scale)
+            (gate_left, values_left, gate_right, values_right, bound)
         )
 
-    @staticmethod
-    def _merged_blocks(group: list[tuple], dtype) -> list[list]:
-        """``[gate_l, val_l, right]`` per distinct gated left factor.
-
-        ``right`` is the scaled sum of the right factors of every term that
-        shares the left factor, already in the GEMM dtype.
-        """
-        blocks: dict[tuple[int, int], list] = {}
-        for gate_l, val_l, gate_r, val_r, _, scale in group:
-            right = np.multiply(gate_r, val_r, dtype=dtype, casting="unsafe")
-            if scale != 1.0:
-                right *= dtype(scale)
-            key = (id(gate_l), id(val_l))
-            if key in blocks:
-                blocks[key][2] += right
-            else:
-                blocks[key] = [gate_l, val_l, right]
-        return list(blocks.values())
-
     def _evaluate_group(self, group: list[tuple], dtype) -> np.ndarray:
-        blocks = self._merged_blocks(group, dtype)
-        rights = np.concatenate([block[2] for block in blocks], axis=0)
+        rights = np.concatenate(
+            [np.multiply(gate_r, val_r, dtype=dtype, casting="unsafe")
+             for _, _, gate_r, val_r, _ in group],
+            axis=0,
+        )
         width = rights.shape[0]
         row_bytes = max(1, width * np.dtype(dtype).itemsize)
         rows = max(1, min(self.m, _TILE_BYTES // row_bytes))  # M may be 0
@@ -332,7 +307,7 @@ class _ErrorAccumulator:
             r1 = min(r0 + rows, self.m)
             tile = buffer[: r1 - r0]
             pos = 0
-            for gate_l, val_l, _ in blocks:
+            for gate_l, val_l, _, _, _ in group:
                 if isinstance(gate_l, np.ndarray):
                     gate_l = gate_l[r0:r1]
                 val_l = val_l[r0:r1]
@@ -591,10 +566,9 @@ def _fast_2t(
 # Optimized factorized 4-thread fast path
 # ---------------------------------------------------------------------------
 
-#: (pair, many) error coefficients by the number of *other* colliding threads,
-#: from the inclusion-exclusion expansion of the exactly-one-other /
-#: two-or-more-others demand indicators.
-_SUBSET_COEFFS = {1: (1.0, 0.0), 2: (-2.0, 1.0), 3: (3.0, -2.0)}
+#: The 4-bit weight-side thread patterns under which a collision (two or
+#: more active threads) can occur.
+_MULTI_THREAD_PATTERNS = tuple(b for b in range(16) if bin(b).count("1") >= 2)
 
 
 @lru_cache(maxsize=None)
@@ -637,13 +611,6 @@ def _popcount4(values: np.ndarray) -> np.ndarray:
     return (values & 1) + ((values >> 1) & 1) + ((values >> 2) & 1) + (
         (values >> 3) & 1
     )
-
-
-@lru_cache(maxsize=None)
-def _superset_table() -> np.ndarray:
-    """16x16 bools: ``[alpha, s]`` says whether ``alpha`` contains ``s``."""
-    patterns = np.arange(16)
-    return (patterns[:, None] & patterns[None, :]) == patterns[None, :]
 
 
 @lru_cache(maxsize=None)
@@ -722,39 +689,33 @@ _HIST_BINS = 1 << 20
 
 
 def _act_histograms(
-    xs: list[np.ndarray], act_code: np.ndarray, joint: bool
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    xs: list[np.ndarray], act_code: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per-K-column histograms of the activation side of a 4-thread call.
 
-    Each ``(m, k)`` position gets one code, the OR of four per-thread
-    lookups in ``act_code`` (see :func:`_value_luts`): the 12-bit joint code
-    with ``joint``, else only its low 4 bits, the activity pattern
-    ``alpha``.  One ``np.bincount`` over ``code + bins * k`` counts them,
-    and every histogram the statistics need is a marginal of it:
+    Each ``(m, k)`` position gets one code, the 12-bit joint code that is the
+    OR of four per-thread lookups in ``act_code`` (see :func:`_value_luts`).
+    One ``np.bincount`` over ``code + 4096 * k`` counts them, and every
+    histogram the statistics need is a marginal of it:
 
-    * ``hist_alpha`` (``(Kt, 16)``): counts of ``alpha``;
-    * ``hist_a[t]`` (``(Kt, 64)``, only with ``joint``): counts of
+    * ``hist_alpha`` (``(Kt, 16)``): counts of the activity pattern
+      ``alpha``;
+    * ``hist_a[t]`` (``(Kt, 64)``): counts of
       ``alpha | achg_t << 4 | afits_t << 5``, the activation-side codes of
       :func:`_reduced_tables`.
     """
-    bins = 4096 if joint else 16
-    tables = act_code if joint else act_code & 15
-    code = _act_lut_take(tables[0], xs[0])
+    code = _act_lut_take(act_code[0], xs[0])
     for t in range(1, 4):
-        code |= _act_lut_take(tables[t], xs[t])
+        code |= _act_lut_take(act_code[t], xs[t])
     kt = code.shape[1]
     hist_alpha = np.empty((kt, 16), dtype=np.int64)
-    hist_a = ([np.empty((kt, 64), dtype=np.int64) for _ in range(4)]
-              if joint else None)
-    step = max(1, _HIST_BINS // bins)
+    hist_a = [np.empty((kt, 64), dtype=np.int64) for _ in range(4)]
+    step = max(1, _HIST_BINS // 4096)
     for k0 in range(0, kt, step):
         k1 = min(k0 + step, kt)
         cols = k1 - k0
-        keys = code[:, k0:k1] + bins * np.arange(cols, dtype=np.int64)
-        counts = np.bincount(keys.ravel(), minlength=bins * cols)
-        if not joint:
-            hist_alpha[k0:k1] = counts.reshape(cols, 16)
-            continue
+        keys = code[:, k0:k1] + 4096 * np.arange(cols, dtype=np.int64)
+        counts = np.bincount(keys.ravel(), minlength=4096 * cols)
         # Axes (column, a3, a2, a1, a0, alpha), a_t = achg_t | afits_t << 1.
         counts = counts.reshape(cols, 4, 4, 4, 4, 16)
         low = counts.sum(axis=(1, 2))    # (column, a1, a0, alpha)
@@ -767,11 +728,11 @@ def _act_histograms(
     return hist_alpha, hist_a
 
 
-def _wgt_histograms(codes: np.ndarray) -> np.ndarray:
-    """Per-K-row histograms of ``(Kt, N)`` 6-bit weight codes: ``(Kt, 64)``."""
+def _wgt_histograms(codes: np.ndarray, bins: int) -> np.ndarray:
+    """Per-K-row histograms of ``(Kt, N)`` weight codes: ``(Kt, bins)``."""
     kt = codes.shape[0]
-    keys = codes + 64 * np.arange(kt, dtype=np.int64)[:, None]
-    return np.bincount(keys.ravel(), minlength=64 * kt).reshape(kt, 64)
+    keys = codes + bins * np.arange(kt, dtype=np.int64)[:, None]
+    return np.bincount(keys.ravel(), minlength=bins * kt).reshape(kt, bins)
 
 
 def _contract(
@@ -779,6 +740,90 @@ def _contract(
 ) -> int:
     """``sum_k hist_a[k] @ table @ hist_b[k]`` for per-K-column histograms."""
     return int(((hist_a @ table) * hist_b).sum())
+
+
+def _add_pattern_terms(
+    accumulator: _ErrorAccumulator,
+    xs: list[np.ndarray],
+    ws: list[np.ndarray],
+    dxs: list[np.ndarray],
+    dws: list[np.ndarray],
+    beta: np.ndarray,
+    hist_beta: np.ndarray,
+    policy: PackingPolicy,
+    amax: int,
+    wmax: int,
+) -> None:
+    """Record the demand-gated error terms of a sparsity policy at 4 threads.
+
+    The right side is partitioned by the weight-side pattern ``beta``.  Where
+    ``beta == b``, only the threads in ``b`` can be active, and the demand
+    is ``demand_b``, the number of them with a nonzero activation: a
+    function of the activations alone.  Every error term is therefore one
+    activation-side gate of ``demand_b`` times a per-thread value, against
+    ``[beta == b]`` times a per-thread value.  Under activation reduction,
+    thread ``t`` of ``b`` contributes
+    ``[demand_b >= 2] dx_t (x) w_t + [demand_b >= 3] x4_t (x) dw_t``, since
+    the pair error ``dx (x) w`` is the first part of the many-way one
+    ``x4 (x) w4 - x (x) w = dx (x) w + x4 (x) dw``.  Weight reduction swaps
+    the roles of ``x`` and ``w``.  The width-secondary policies keep the
+    pair term apart, under ``demand_b == 2`` and against the operand
+    masked to its wide values, and add the many-way term's first part
+    under ``demand_b >= 3``.  Operands equal to zero have zero deltas, so
+    threads outside ``b`` and inactive threads contribute nothing.
+
+    A pattern that occurs in at most a third of the K rows contributes only
+    those rows; otherwise all Kt.  Each restricted block gathers columns of
+    a row-major ``(M, Kt)`` operand, which reads all of it, so above a third
+    the gathers cost more than the width they save.  Patterns with fewer
+    than two threads never collide.
+    """
+    kt = beta.shape[0]
+    delta = float(_DELTA_MAX)
+    rows_with = hist_beta > 0
+    row_counts = rows_with.sum(axis=0)
+    patterns = [b for b in _MULTI_THREAD_PATTERNS if row_counts[b]]
+    secondary = policy.width_secondary
+    if policy.reduce == "act":
+        pair_rights = [w * ~wgt_fits_4bit(w) for w in ws] if secondary else ws
+        pair = (dxs, pair_rights, delta * wmax)
+        x4s = [x + dx for x, dx in zip(xs, dxs)]
+        many = [(x4s, dws, (amax + delta) * delta)]  # |x4| <= amax + delta
+        if secondary:
+            many.append((dxs, ws, delta * wmax))
+    else:
+        pair_lefts = [x * ~act_fits_4bit(x) for x in xs] if secondary else xs
+        pair = (pair_lefts, dws, amax * delta)
+        w4s = [w + dw for w, dw in zip(ws, dws)]
+        many = [(dxs, w4s, delta * (wmax + delta))]
+        if secondary:
+            many.append((xs, dws, amax * delta))
+    act_masks = [x != 0 for x in xs]
+
+    for b in patterns:
+        members = [t for t in range(4) if b >> t & 1]
+        restricted = 3 * row_counts[b] <= kt
+        cols = np.flatnonzero(rows_with[:, b]) if restricted else slice(None)
+        width = float(row_counts[b] if restricted else kt)
+        masks = [act_masks[t][:, cols] for t in members]
+        if len(members) == 2:
+            # A thread's error values vanish where its activation is zero,
+            # so "both active" is "the other one active": no gate to build.
+            terms = [(masks[::-1], pair)]
+        else:
+            ones = [mask.view(np.uint8) for mask in masks]
+            demand = ones[0] + ones[1]
+            for one in ones[2:]:
+                demand += one
+            pair_gate = demand == 2 if secondary else demand >= 2
+            many_gate = np.greater_equal(demand, 3, out=demand.view(bool))
+            terms = [([pair_gate] * len(members), pair)]
+            terms += [([many_gate] * len(members), factors) for factors in many]
+        right_gate = beta[cols] == b
+        for gates, (lefts, rights, bound) in terms:
+            for gate, t in zip(gates, members):
+                accumulator.add(gate, lefts[t][:, cols], right_gate,
+                                rights[t][cols], width * bound)
 
 
 def _fast_4t(
@@ -792,13 +837,14 @@ def _fast_4t(
     """Optimized factorized 4-thread execution.
 
     The NB-SMT output equals the exact product plus error terms gated by the
-    per-position demand count.  Because the demand indicator of each thread
-    factors into an activation-side and a weight-side binary mask, the gated
-    error sums expand (by inclusion-exclusion over thread subsets) into
-    separable blocks; the pair and many terms merge where they share a
-    factor pair, and :class:`_ErrorAccumulator` evaluates the blocks with a
-    few row-tiled BLAS GEMMs whose float dtype is chosen by exactness
-    bounds, merging blocks that share a gated left factor.  Statistics are
+    per-position demand count.  Partitioned by the weight-side thread
+    pattern, the demand is a function of the activations alone, so each
+    gated error term is separable (:func:`_add_pattern_terms`): trained
+    weights are almost never zero, so nearly every ``(k, n)`` holds the
+    all-threads pattern, and S+A needs 8 blocks of width Kt plus a few
+    narrow ones.
+    :class:`_ErrorAccumulator` evaluates the blocks with a few row-tiled BLAS
+    GEMMs whose float dtype is chosen by exactness bounds.  Statistics are
     reconstructed exactly from per-K-column histograms of one joint
     activation code per position and of per-thread weight codes (see
     :func:`_act_histograms` and :func:`_reduced_tables`).  ``amax`` /
@@ -813,128 +859,44 @@ def _fast_4t(
 
     exact = _int_gemm(xs, ws, bound=4.0 * kt * amax * wmax)
 
-    act_masks = [x != 0 for x in xs]
-    wgt_masks = [w != 0 for w in ws]
     luts = _value_luts(policy.width_primary)
     # Reduction deltas of the many-way (4b-4b) path: dx = x4 - x, dw = w4 - w.
-    # Both are bounded by _DELTA_MAX, which keeps every error block below in
+    # Both are bounded by _DELTA_MAX, which keeps every error block in
     # small float32-friendly range; the pairwise-collision delta of the
-    # reduced operand is the *same* delta (identical width handling), which
-    # lets the pair term merge with the dx (x) w third of the many term.
+    # reduced operand is the *same* delta (identical width handling).
     dxs = [_act_lut_take(luts["dx"], x) for x in xs]
     dws = [_wgt_lut_take(luts["dw"], w) for w in ws]
-    # The subset-skip test needs the activity-pattern histogram, the
-    # statistics the joint one; with neither, nothing is counted.
-    if collect_stats or policy.sparsity:
-        hist_alpha, hist_a = _act_histograms(xs, luts["act_code"],
-                                             joint=collect_stats)
+    if policy.sparsity or collect_stats:
+        # Weight-side activity pattern: bit t is w_t != 0.
+        beta = np.zeros((kt, n), dtype=np.uint8)
+        for t in range(threads):
+            beta |= (ws[t] != 0).view(np.uint8) << t
+        hist_beta = _wgt_histograms(beta, 16)
 
     accumulator = _ErrorAccumulator(m, n)
-    ones_gate = True  # scalar "no gate" for ungated blocks
-    pair_bound = (
-        float(kt) * _DELTA_MAX * wmax
-        if policy.reduce == "act"
-        else float(kt) * amax * _DELTA_MAX
-    )
-    many_bounds = (
-        float(kt) * _DELTA_MAX * wmax,        # dx (x) w
-        float(kt) * amax * _DELTA_MAX,        # x (x) dw
-        float(kt) * _DELTA_MAX * _DELTA_MAX,  # dx (x) dw
-    )
-
-    if not policy.sparsity:
-        # Every position is a full (>= 3-way) collision:
-        # out = X4 @ W4 = exact + sum_t dx (x) w + x (x) dw + dx (x) dw.
-        for t in range(threads):
-            accumulator.add(ones_gate, dxs[t], ones_gate, ws[t],
-                            many_bounds[0])
-            accumulator.add(ones_gate, xs[t], ones_gate, dws[t],
-                            many_bounds[1])
-            accumulator.add(ones_gate, dxs[t], ones_gate, dws[t],
-                            many_bounds[2])
-        out = exact + accumulator.total()
+    if policy.sparsity:
+        _add_pattern_terms(accumulator, xs, ws, dxs, dws, beta, hist_beta,
+                           policy, amax, wmax)
     else:
-        if policy.width_secondary:
-            if policy.reduce == "act":
-                sec_wgt = [w * ~wgt_fits_4bit(w) for w in ws]
-            else:
-                sec_act = [x * ~act_fits_4bit(x) for x in xs]
-
-        # Subset gates: A_S = AND of the act masks, W_S = AND of the wgt
-        # masks.  A block gated by (A_S, W_S) contributes nothing when no K
-        # position has both a nonzero A_S column and a nonzero W_S row.  A
-        # column of A_S is nonzero iff one of the activity patterns present
-        # in it contains S.
-        act_cols = (hist_alpha > 0) @ _superset_table()      # (Kt, 16)
-        gates: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
-            (t,): (act_masks[t], wgt_masks[t]) for t in range(threads)
-        }
-        for size in (2, 3, 4):
-            for subset in combinations(range(threads), size):
-                prev_a, prev_w = gates[subset[:-1]]
-                last = subset[-1]
-                gates[subset] = (
-                    prev_a & act_masks[last], prev_w & wgt_masks[last]
-                )
-
-        for size in (2, 3, 4):
-            for subset in combinations(range(threads), size):
-                gate_a, gate_w = gates[subset]
-                pattern = sum(1 << t for t in subset)
-                subset_cols = act_cols[:, pattern] & gate_w.any(axis=1)
-                if not subset_cols.any():
-                    continue
-                c1, c2 = _SUBSET_COEFFS[size - 1]
-                for t in subset:
-                    # Pair error of the reduced operand; when the pair and
-                    # many terms share a factor pair, their coefficients are
-                    # merged into a single block.
-                    if policy.reduce == "act":
-                        pair_dx = c1 if policy.width_secondary else 0.0
-                        merged_dx_w = c2 if policy.width_secondary else c1 + c2
-                        pair_x_dw, merged_x_dw = 0.0, c2
-                    else:
-                        pair_x_dw = c1 if policy.width_secondary else 0.0
-                        merged_x_dw = c2 if policy.width_secondary else c1 + c2
-                        pair_dx, merged_dx_w = 0.0, c2
-                    if pair_dx != 0.0:
-                        accumulator.add(gate_a, dxs[t], gate_w, sec_wgt[t],
-                                        abs(pair_dx) * pair_bound,
-                                        scale=pair_dx)
-                    if pair_x_dw != 0.0:
-                        accumulator.add(gate_a, sec_act[t], gate_w, dws[t],
-                                        abs(pair_x_dw) * pair_bound,
-                                        scale=pair_x_dw)
-                    if merged_dx_w != 0.0:
-                        accumulator.add(gate_a, dxs[t], gate_w, ws[t],
-                                        abs(merged_dx_w) * many_bounds[0],
-                                        scale=merged_dx_w)
-                    if merged_x_dw != 0.0:
-                        accumulator.add(gate_a, xs[t], gate_w, dws[t],
-                                        abs(merged_x_dw) * many_bounds[1],
-                                        scale=merged_x_dw)
-                    if c2 != 0.0:
-                        accumulator.add(gate_a, dxs[t], gate_w, dws[t],
-                                        abs(c2) * many_bounds[2], scale=c2)
-        out = exact + accumulator.total()
+        # Every position is a full (>= 3-way) collision:
+        # out = X4 @ W4 = exact + sum_t dx (x) w4 + x (x) dw.
+        for t in range(threads):
+            accumulator.add(True, dxs[t], True, ws[t] + dws[t],
+                            float(kt) * _DELTA_MAX * (wmax + _DELTA_MAX))
+            accumulator.add(True, xs[t], True, dws[t],
+                            float(kt) * amax * _DELTA_MAX)
+    out = exact + accumulator.total()
 
     if not collect_stats:
         return out, None
 
     stats = SMTStatistics()
-    beta = (
-        wgt_masks[0].astype(np.int64)
-        + 2 * wgt_masks[1]
-        + 4 * wgt_masks[2]
-        + 8 * wgt_masks[3]
-    )
+    hist_alpha, hist_a = _act_histograms(xs, luts["act_code"])
     wchgs = [_wgt_lut_take(luts["wchg"], w) for w in ws]
     hist_b = [
-        _wgt_histograms(beta + 16 * wchgs[t] + 32 * wgt_fits_4bit(ws[t]))
+        _wgt_histograms(beta + 16 * wchgs[t] + 32 * wgt_fits_4bit(ws[t]), 64)
         for t in range(threads)
     ]
-    # 16-bin weight activity histogram, marginalized from a 64-bin one.
-    hist_beta = hist_b[0].reshape(kt, 4, 16).sum(axis=1)
 
     activity = _activity_tables()
     reduced_tables = _reduced_tables(policy)

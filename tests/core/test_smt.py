@@ -262,13 +262,15 @@ def _tiled_case(kind):
     if kind == "very-sparse":
         return make_quantized_pair(new_rng(1234), m=40, k=48, n=16,
                                    act_sparsity=0.6, wgt_sparsity=0.5)
+    if kind == "mixed-patterns":
+        return _mixed_pattern_case()
     if kind == "narrow-acts":
         # Every activation fits 4 bits, so every activation reduction delta
         # is zero and the dx-based error blocks are all-zero.
         x, w = make_quantized_pair(new_rng(1234), m=48, k=64, n=24)
         return x % 16, w
     # "sparse": every other K column is empty; 4-bit weight rows have zero
-    # reduction deltas, so blocks sharing a left factor get different ones.
+    # reduction deltas.
     x, w = make_quantized_pair(rng, m=37, k=16, n=5, act_sparsity=0.3)
     x[:, ::2] = 0
     w[1::4] = np.clip(w[1::4], -7, 7)
@@ -277,7 +279,7 @@ def _tiled_case(kind):
 
 @pytest.mark.parametrize("kind",
                          ["ragged", "below-one-tile", "float64-group", "sparse",
-                          "very-sparse", "narrow-acts"])
+                          "very-sparse", "narrow-acts", "mixed-patterns"])
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 @pytest.mark.parametrize("threads", [2, 4])
 def test_row_tiled_error_gemm_matches_reference(monkeypatch, threads, policy,
@@ -303,6 +305,101 @@ def test_row_tiled_error_gemm_matches_reference(monkeypatch, threads, policy,
     assert fast.stats.as_dict() == reference.stats.as_dict()
     if kind == "float64-group":
         assert np.float64 in dtypes
+
+
+#: Weight-side thread patterns of the mixed-pattern case, by K row of the
+#: thread slices (Kt = 12): 15 and the two-thread 0b0011 fill more than a
+#: third of the rows; the two-thread 0b0101 fills exactly a third, and
+#: 0b1001 (two threads), 0b0111 and 0b1110 (three threads) two rows each.
+_ROW_PATTERNS = (
+    [(15, 3)] * 7
+    + [(15, 3, 5), (15, 14, 1), (15, 7, 5), (15, 9, 5), (15, 3, 14, 7, 9, 5)]
+)
+
+
+def _mixed_pattern_case():
+    kt, n = len(_ROW_PATTERNS), 10
+    rng = new_rng(71)
+    x, w = make_quantized_pair(rng, m=29, k=4 * kt, n=n, act_sparsity=0.3,
+                               wgt_sparsity=0.0)
+    w[w == 0] = 1
+    for k, patterns in enumerate(_ROW_PATTERNS):
+        beta = rng.choice(patterns, size=n)
+        beta[:len(patterns)] = patterns  # every listed pattern occurs
+        for t in range(4):
+            w[t * kt + k] *= (beta >> t) & 1
+    return x, w
+
+
+def _left_widths(monkeypatch) -> list[int]:
+    """Total left-operand width of every ``_ErrorAccumulator.total`` call."""
+    widths = []
+    total = smt._ErrorAccumulator.total
+
+    def spy_total(self):
+        widths.append(sum(term[1].shape[1] for term in self._terms))
+        return total(self)
+
+    monkeypatch.setattr(smt._ErrorAccumulator, "total", spy_total)
+    return widths
+
+
+@pytest.mark.parametrize("collect_stats", [True, False])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_weight_pattern_partition_matches_reference(policy, collect_stats):
+    x, w = _mixed_pattern_case()
+    _, w_t = split_into_threads(x, w, 4)
+    beta = sum((w_t[t] != 0).astype(int) << t for t in range(4))
+    kt = beta.shape[0]
+    rows = {b: int((beta == b).any(axis=1).sum()) for b in range(16)}
+    multi = [b for b in range(16) if bin(b).count("1") >= 2 and rows[b]]
+    restricted = {bin(b).count("1") for b in multi if 3 * rows[b] <= kt}
+    full = {bin(b).count("1") for b in multi if 3 * rows[b] > kt}
+    assert restricted == {2, 3} and full == {2, 4}
+    fast = NBSMTMatmul(4, policy, collect_stats=collect_stats)
+    reference = NBSMTMatmul(4, policy, collect_stats=collect_stats,
+                            force_reference=True)
+    assert np.array_equal(fast.matmul(x, w), reference.matmul(x, w))
+    assert fast.stats == reference.stats
+
+
+def test_zero_free_weights_take_eight_error_blocks(monkeypatch):
+    # With no zero weight every (k, n) holds the all-threads pattern, the
+    # demand depends on the activations alone, and S+A needs a dx and an
+    # x4 block per thread: 8 * Kt columns (the inclusion-exclusion
+    # expansion over thread subsets took 44 * Kt).
+    widths = _left_widths(monkeypatch)
+    x, w = make_quantized_pair(new_rng(61), m=40, k=48, n=16,
+                               wgt_sparsity=0.0)
+    w[w == 0] = -3
+    fast = NBSMTMatmul(4, "S+A")
+    reference = NBSMTMatmul(4, "S+A", force_reference=True)
+    assert np.array_equal(fast.matmul(x, w), reference.matmul(x, w))
+    assert widths == [8 * 12]
+
+
+def test_rare_patterns_take_only_their_rows(monkeypatch):
+    # S+A, Kt = 12: patterns 15 and 0b0011 span all rows (8 and 2 blocks);
+    # 0b0101 and 0b1001 take 2 blocks, over their 4 and 2 rows only, and
+    # 0b0111 and 0b1110 take 6, over their 2 rows.
+    widths = _left_widths(monkeypatch)
+    x, w = _mixed_pattern_case()
+    NBSMTMatmul(4, "S+A").matmul(x, w)
+    assert widths == [8 * 12 + 2 * 12 + 2 * (4 + 2) + 6 * (2 + 2)]
+
+
+@pytest.mark.parametrize(
+    "policy", [name for name in POLICY_NAMES if get_policy(name).sparsity]
+)
+def test_pattern_partition_width_is_bounded(monkeypatch, policy):
+    # Every multi-thread pattern at full width: 2 blocks per thread and
+    # pattern, 3 per thread of a 3- or 4-thread pattern for the
+    # width-secondary policies.
+    widths = _left_widths(monkeypatch)
+    x, w = _tiled_case("very-sparse")
+    NBSMTMatmul(4, policy).matmul(x, w)
+    blocks = 60 if get_policy(policy).width_secondary else 44
+    assert len(widths) == 1 and 0 < widths[0] <= blocks * 12
 
 
 @pytest.mark.parametrize("shape", [(0, 8, 3), (4, 0, 3), (4, 8, 0)])
@@ -339,8 +436,8 @@ def test_error_gemm_never_materializes_the_wide_operand(monkeypatch):
 
 def test_error_gemm_buffers_stay_bounded_for_wide_n(monkeypatch):
     # Wide N, narrow Kt: any per-block (M, N) float32 buffer, such as a
-    # partial product kept for all M rows, would add 4 MB per block (44
-    # blocks at 4 threads, 2 at 2 threads).
+    # partial product kept for all M rows, would add 4 MB per block (up to
+    # 44 blocks at 4 threads, 2 at 2 threads).
     m, k, n = 4096, 16, 256
     x, w = make_quantized_pair(new_rng(6), m=m, k=k, n=n)
     peaks = []
@@ -451,12 +548,10 @@ def test_every_activation_code_matches_reference(policy):
 @pytest.mark.parametrize("policy", ALL_POLICIES)
 def test_chunked_activation_histograms_match_reference(monkeypatch, policy,
                                                        collect_stats):
-    # Two K columns per np.bincount, joint codes or 4-bit patterns alike:
-    # Kt=7 splits into ragged chunks of 2, 2, 2 and 1 columns.  The thread
-    # slices are empty in different columns, so the per-column subset-skip
-    # test, read from hist_alpha, differs between chunks.
-    bins = 4096 if collect_stats else 16
-    monkeypatch.setattr(smt, "_HIST_BINS", 2 * bins)
+    # Two K columns per np.bincount: Kt=7 splits into ragged chunks of 2,
+    # 2, 2 and 1 columns.  The thread slices are empty in different
+    # columns, so the per-column histograms differ between chunks.
+    monkeypatch.setattr(smt, "_HIST_BINS", 2 * 4096)
     x, w = make_quantized_pair(new_rng(51), m=40, k=28, n=6, act_sparsity=0.3)
     for t in range(4):
         x[:, [7 * t + k for k in range(7) if (k + t) % 3 == 0]] = 0
@@ -465,17 +560,15 @@ def test_chunked_activation_histograms_match_reference(monkeypatch, policy,
                             force_reference=True)
     assert np.array_equal(fast.matmul(x, w), reference.matmul(x, w))
     assert fast.stats.as_dict() == reference.stats.as_dict()
-    # A chunk miscounted as busier than it is only costs time, so compare
-    # the histograms themselves with one unchunked count.
+    # Compare the histograms themselves with one unchunked count too.
     xs = list(split_into_threads(x, w, 4)[0])
     act_code = smt._value_luts(get_policy(policy).width_primary)["act_code"]
-    chunked = smt._act_histograms(xs, act_code, joint=collect_stats)
+    chunked = smt._act_histograms(xs, act_code)
     monkeypatch.setattr(smt, "_HIST_BINS", 1 << 20)
-    whole = smt._act_histograms(xs, act_code, joint=collect_stats)
+    whole = smt._act_histograms(xs, act_code)
     assert np.array_equal(chunked[0], whole[0])
-    if collect_stats:
-        for chunked_a, whole_a in zip(chunked[1], whole[1], strict=True):
-            assert np.array_equal(chunked_a, whole_a)
+    for chunked_a, whole_a in zip(chunked[1], whole[1], strict=True):
+        assert np.array_equal(chunked_a, whole_a)
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)

@@ -44,7 +44,7 @@ def nbsmt_case(draw, max_m: int = 24, max_k: int = 40, max_n: int = 12):
     n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     act_sparsity = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
-    wgt_sparsity = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    wgt_sparsity = draw(st.sampled_from([0.0, 0.02, 0.2, 0.5]))
     special_fraction = draw(st.sampled_from([0.0, 0.3, 1.0]))
     threads = draw(st.sampled_from([2, 4]))
     policy = draw(st.sampled_from(POLICY_NAMES))

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,6 +26,26 @@ def test_run_table2(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert "Table II" in out
     assert "finished in" in out
+
+
+def test_zoo_labels_its_accuracy_as_pre_recalibration(capsys, monkeypatch):
+    # The zoo prints the accuracy measured at training time; Table I's FP32
+    # column is measured after BN recalibration and differs widely.
+    from repro.models import zoo
+
+    class Model:
+        def num_parameters(self):
+            return 1234
+
+    trained = SimpleNamespace(display_name="ResNet-18", model=Model(),
+                              fp32_accuracy=0.306)
+    monkeypatch.setattr(zoo, "load_trained_model", lambda name, fast: trained)
+    assert main(["zoo", "resnet18"]) == 0
+    out = capsys.readouterr().out
+    header = next(line for line in out.splitlines() if "Model" in line)
+    assert "FP32 top-1 pre-BN-recal." in header
+    assert "30.6%" in out
+    assert "before the BN recalibration that Table I" in out
 
 
 def test_parser_requires_command():
